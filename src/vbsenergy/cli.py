@@ -19,15 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from .config import Settings, apply_override, build_settings, read_config, render_config
-from .errors import (
-    ConfigError,
-    InfeasibleLoadError,
-    InfeasibleScenarioError,
-    NoEnergyOptimumError,
-    PowerCapExceededError,
-    UnstableQueueError,
-)
+from .errors import ConfigError
 from .optimize import (
+    INFEASIBLE_STATUS,
+    JointResult,
     Scenario,
     TradeoffPoint,
     best_rate_for_cores,
@@ -35,13 +30,15 @@ from .optimize import (
     earth_energy_optimal_rate,
     evaluate_point,
     joint_optimize,
+    power_savings,
     rate_for_delay,
     scenario_profile,
     tradeoff_curve,
 )
 from .power import earth_profile
-from .queueing import average_power, queue_metrics
-from .results import COLUMNS, ResultRow, write_rows
+# Unused average_power stays importable: perfbench/tracer.py wraps it here.
+from .queueing import average_power, queue_metrics  # noqa: F401
+from .results import ResultRow, write_rows
 from .simulate import SimConfig, validate_against_analytic
 from .units import parse_quantity
 
@@ -50,13 +47,7 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
 
-_DOMAIN_ERRORS = (
-    UnstableQueueError,
-    InfeasibleLoadError,
-    InfeasibleScenarioError,
-    PowerCapExceededError,
-    NoEnergyOptimumError,
-)
+_DOMAIN_ERRORS = tuple(INFEASIBLE_STATUS)
 
 COMPARE_COLUMNS = (
     "scenario_id",
@@ -219,18 +210,6 @@ def _point_row(scenario_id: str, command: str, p: TradeoffPoint,
     )
 
 
-def _status_for(exc: Exception) -> str:
-    if isinstance(exc, InfeasibleLoadError):
-        return "over-compute-cap"
-    if isinstance(exc, InfeasibleScenarioError):
-        return "infeasible"
-    if isinstance(exc, UnstableQueueError):
-        return "unstable"
-    if isinstance(exc, NoEnergyOptimumError):
-        return "no-optimum"
-    raise exc
-
-
 def cmd_power(args) -> int:
     settings = _settings(args)
     sc = settings.scenario
@@ -241,25 +220,25 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
+def _best_point(sc: Scenario, cores: int | None, cores_max: int) -> JointResult:
+    """Optimum on a fixed core count, or over 1..cores_max when cores is None."""
+    if cores is None:
+        return joint_optimize(sc, cores_max)
+    point = evaluate_point(sc, best_rate_for_cores(sc, cores), cores)
+    return JointResult(point.rate_bps, cores, point, (point,))
+
+
 def cmd_optimize(args) -> int:
     settings = _settings(args)
-    sc = settings.scenario
-    if args.cores is not None:
-        rate = best_rate_for_cores(sc, args.cores)
-        point = evaluate_point(sc, rate, args.cores)
-        candidates: tuple[TradeoffPoint, ...] = (point,)
-    else:
-        cores_max = args.cores_max or settings.n_cores_max
-        result = joint_optimize(sc, cores_max)
-        point = result.point
-        candidates = result.candidates
+    result = _best_point(settings.scenario, args.cores,
+                         args.cores_max or settings.n_cores_max)
     if args.verbose:
-        for c in candidates:
+        for c in result.candidates:
             print(f"candidate: n_cores={c.n_cores} rate={c.rate_bps:.6g} "
                   f"power={c.avg_power_w:.6g} cost={c.cost_z:.6g}",
                   file=sys.stderr)
     with _out(args.output) as fh:
-        write_rows(fh, [_point_row(_scenario_tag(settings), "optimize", point)])
+        write_rows(fh, [_point_row(_scenario_tag(settings), "optimize", result.point)])
     return EXIT_OK
 
 
@@ -317,10 +296,9 @@ def cmd_sweep(args) -> int:
             n = int(v)
             sid = f"{base}[n_cores={n}]"
             try:
-                rate = best_rate_for_cores(sc, n)
-                rows.append(_point_row(sid, "sweep", evaluate_point(sc, rate, n)))
+                rows.append(_point_row(sid, "sweep", _best_point(sc, n, cores_max).point))
             except _DOMAIN_ERRORS as exc:
-                rows.append(_blank_row(sid, _status_for(exc), n))
+                rows.append(_blank_row(sid, INFEASIBLE_STATUS[type(exc)], n))
     else:
         for v in values:
             sid = f"{base}[{var}={v:.6g}]"
@@ -331,15 +309,10 @@ def cmd_sweep(args) -> int:
             else:
                 sc_v = replace(sc, traffic=replace(sc.traffic, file_size_bits=v))
             try:
-                if args.cores is not None:
-                    rate = best_rate_for_cores(sc_v, args.cores)
-                    rows.append(_point_row(sid, "sweep",
-                                           evaluate_point(sc_v, rate, args.cores)))
-                else:
-                    result = joint_optimize(sc_v, cores_max)
-                    rows.append(_point_row(sid, "sweep", result.point))
+                point = _best_point(sc_v, args.cores, cores_max).point
+                rows.append(_point_row(sid, "sweep", point))
             except _DOMAIN_ERRORS as exc:
-                rows.append(_blank_row(sid, _status_for(exc), args.cores))
+                rows.append(_blank_row(sid, INFEASIBLE_STATUS[type(exc)], args.cores))
 
     with _out(args.output) as fh:
         write_rows(fh, rows)
@@ -359,9 +332,7 @@ def cmd_compare(args) -> int:
 
     def compare_at(rate: float):
         n = cores_needed(sc.compute, rate)
-        p_vbs = average_power(scenario_profile(sc, n), t, rate)
-        p_cbs = average_power(cbs, t, rate)
-        return n, p_vbs, p_cbs, 1.0 - p_vbs / p_cbs
+        return (n, *power_savings(scenario_profile(sc, n), cbs, t, rate))
 
     rows = []
     if args.policy == "cbs-optimal":
@@ -382,7 +353,7 @@ def cmd_compare(args) -> int:
                 n, p_vbs, p_cbs, savings = compare_at(rate)
             except _DOMAIN_ERRORS as exc:
                 rows.append([sid, d, rate, None, None, None, None,
-                             _status_for(exc)])
+                             INFEASIBLE_STATUS[type(exc)]])
                 continue
             rows.append([sid, d, rate, n, p_vbs, p_cbs, savings, "ok"])
 

@@ -13,6 +13,10 @@ class PowerCapExceededError(VbsError):
     """Transmit power above the amplifier cap."""
 
 
+class LinkCapacityError(VbsError, ValueError):
+    """Rate beyond what the link budget can carry without overflow."""
+
+
 class UnstableQueueError(VbsError):
     """Service rate at or below the offered load, so the queue diverges."""
 

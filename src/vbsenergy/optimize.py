@@ -16,6 +16,8 @@ alpha = 0 the argument is constant and the root has the closed form
 which exists inside the stable region iff P_s > 0 and lambda L < r_e.
 P_s is the sleep-adjusted static power, so r_e depends on neither the
 rate-linear BBU load coefficient kappa nor on alpha.
+Both read only the coefficients of a BusyPowerProfile, so the macro
+baseline shares them through earth_profile.
 
 The joint search over core counts walks N_c upward: once the fixed-N_c
 minimizer is achievable within the core capacity, larger N_c only add
@@ -33,17 +35,21 @@ from .errors import (
     ConvergenceError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
+    LinkCapacityError,
     NoEnergyOptimumError,
     NoStationaryPointError,
+    PowerCapExceededError,
     UnstableQueueError,
 )
 from .lambertw import BRANCH_POINT_ARG, lambert_w0
-from .power import (
+# Unused static_power and sleep_adjusted_power stay importable:
+# perfbench/tracer.py wraps them here.
+from .power import (  # noqa: F401
     BusyPowerProfile,
     ComputeParams,
     EarthParams,
     RadioParams,
-    delta_pb,
+    earth_profile,
     sleep_adjusted_power,
     static_power,
     vbs_profile,
@@ -57,6 +63,17 @@ TIE_REL_TOL = 1e-9
 
 # Rates are searched in (offered_load * (1 + STABILITY_MARGIN), r_max].
 STABILITY_MARGIN = 1e-9
+
+# Status of an operating point that each error refuses; tradeoff_curve
+# and the CLI flag such points instead of dropping them.
+INFEASIBLE_STATUS = {
+    UnstableQueueError: "unstable",
+    InfeasibleLoadError: "over-compute-cap",
+    LinkCapacityError: "over-link-cap",
+    PowerCapExceededError: "over-power-cap",
+    InfeasibleScenarioError: "infeasible",
+    NoEnergyOptimumError: "no-optimum",
+}
 
 _BISECT_RTOL = 1e-12
 _MAX_BRACKET_DOUBLINGS = 200
@@ -155,23 +172,21 @@ def cores_needed(c: ComputeParams, rate_bps: float) -> int:
     return max(1, math.ceil(need - 1e-12))
 
 
-def scenario_profile(sc: Scenario, n_cores: int | None = None,
-                     check_load: bool = True) -> BusyPowerProfile:
+def scenario_profile(sc: Scenario, n_cores: int | None = None) -> BusyPowerProfile:
     """VBS busy-power profile for the scenario at the given core count."""
     c = sc.compute if n_cores is None else replace(sc.compute, n_cores=n_cores)
-    return vbs_profile(c, sc.radio, sc.link.channel_gain, check_load=check_load)
+    return vbs_profile(c, sc.radio, sc.link.channel_gain)
 
 
 def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int | None = None) -> TradeoffPoint:
     """Evaluate queueing metrics, power, and cost at one operating point."""
-    n = sc.compute.n_cores if n_cores is None else n_cores
-    profile = scenario_profile(sc, n)
+    profile = scenario_profile(sc, n_cores)
     qm = queue_metrics(sc.traffic, rate_bps)
     power = average_power(profile, sc.traffic, rate_bps)
     cost = power + sc.alpha * qm.mean_queue_len
     return TradeoffPoint(
         rate_bps=float(rate_bps),
-        n_cores=n,
+        n_cores=sc.compute.n_cores if n_cores is None else n_cores,
         rho=qm.rho,
         mean_queue_len=qm.mean_queue_len,
         mean_delay_s=qm.mean_delay_s,
@@ -180,54 +195,55 @@ def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int | None = None) ->
     )
 
 
-def _gap_terms(sc: Scenario, n_cores: int | None):
-    c = sc.compute if n_cores is None else replace(sc.compute, n_cores=n_cores)
-    g_eta = sc.link.channel_gain * sc.radio.pa_efficiency
-    p_s = sleep_adjusted_power(c, sc.radio, sc.traffic.arrival_rate)
-    return g_eta, p_s
-
-
-def optimality_gap(sc: Scenario, rate_bps: float, n_cores: int | None = None) -> float:
-    """Signed stationarity gap at rate_bps; positive while the cost is
-    still falling, zero at the interior minimizer.
+def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
+                   rate_bps: float) -> float:
+    """Signed stationarity gap of z = E{P} + alpha * E{n} at rate_bps;
+    positive while the cost is still falling, zero at its minimizer.
 
     Raises NoStationaryPointError when the Lambert argument falls below
     -1/e at this rate, meaning the cost is rising here and no interior
     stationary point lies at or beyond rate_bps.
     """
-    load = sc.traffic.offered_load_bps
+    load = t.offered_load_bps
     if rate_bps <= load:
         raise UnstableQueueError(
             f"rate must exceed the offered load {load:.6g} bit/s"
         )
-    g_eta, p_s = _gap_terms(sc, n_cores)
+    g_eta = profile.gain * profile.pa_efficiency
+    p_s = profile.sleep_adjusted_power(t.arrival_rate)
     w_arg = (
-        sc.alpha * g_eta / math.e * (rate_bps / (rate_bps - load)) ** 2
+        alpha * g_eta / math.e * (rate_bps / (rate_bps - load)) ** 2
         + (g_eta * p_s - 1.0) / math.e
     )
     if w_arg < BRANCH_POINT_ARG:
         raise NoStationaryPointError(
             "cost derivative has no root at or beyond this rate"
         )
-    bandwidth = sc.link.bandwidth_hz
-    return lambert_w0(w_arg) - (rate_bps * LN2 / bandwidth - 1.0)
+    return lambert_w0(w_arg) - (rate_bps * LN2 / profile.bandwidth_hz - 1.0)
 
 
-def _closed_form_rate(p_static: float, sleep_w: float, eta_eff: float,
-                      gain: float, bandwidth_hz: float, switch_energy_j: float,
-                      t: TrafficParams) -> float:
-    """Energy-minimizing rate for a busy power of the shape
-    static + p_out/eta + slope * r. Raises NoEnergyOptimumError with the
-    failed condition when no finite-delay minimum exists."""
-    p_s = p_static - sleep_w - 2.0 * t.arrival_rate * switch_energy_j
+def _closed_form(profile: BusyPowerProfile, t: TrafficParams) -> tuple[float, float | None]:
+    """The largest arrival rate that keeps the sleep-adjusted static
+    power P_s positive, and the power minimizer r_e at alpha = 0 (None
+    when P_s <= 0, where no finite-delay minimum exists)."""
+    e_sw = profile.switch_energy_j
+    lam_bound = (math.inf if e_sw == 0
+                 else (profile.static_power_w - profile.sleep_power_w) / (2.0 * e_sw))
+    p_s = profile.sleep_adjusted_power(t.arrival_rate)
     if p_s <= 0:
-        bound = _arrival_bound(p_static, sleep_w, switch_energy_j)
+        return lam_bound, None
+    w_arg = (profile.gain * profile.pa_efficiency * p_s - 1.0) / math.e
+    return lam_bound, profile.bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
+
+
+def _optimal_rate(profile: BusyPowerProfile, t: TrafficParams) -> float:
+    """r_e, or NoEnergyOptimumError naming the failed existence condition."""
+    lam_bound, r_e = _closed_form(profile, t)
+    if r_e is None:
         raise NoEnergyOptimumError(
-            f"switching cost dominates: arrival rate must stay below {bound:.6g}/s",
+            f"switching cost dominates: arrival rate must stay below {lam_bound:.6g}/s",
             reason="arrival_rate",
         )
-    w_arg = (gain * eta_eff * p_s - 1.0) / math.e
-    r_e = bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
     if t.offered_load_bps >= r_e:
         raise NoEnergyOptimumError(
             f"offered load {t.offered_load_bps:.6g} bit/s at or above the "
@@ -237,12 +253,6 @@ def _closed_form_rate(p_static: float, sleep_w: float, eta_eff: float,
     return r_e
 
 
-def _arrival_bound(p_static: float, sleep_w: float, switch_energy_j: float) -> float:
-    if switch_energy_j == 0:
-        return math.inf
-    return (p_static - sleep_w) / (2.0 * switch_energy_j)
-
-
 def energy_optimal_exists(sc: Scenario, n_cores: int | None = None) -> ExistenceResult:
     """Check the two conditions for a finite-delay power minimum.
 
@@ -250,14 +260,9 @@ def energy_optimal_exists(sc: Scenario, n_cores: int | None = None) -> Existence
     positive; then the offered load must sit below the closed-form
     minimizer. The reported bounds make both checks reproducible.
     """
-    c = sc.compute if n_cores is None else replace(sc.compute, n_cores=n_cores)
-    p_static = static_power(c, sc.radio)
-    lam_bound = _arrival_bound(p_static, sc.radio.p_sleep_w, sc.radio.switch_energy_j)
-    g_eta, p_s = _gap_terms(sc, n_cores)
-    if p_s <= 0:
+    lam_bound, r_e = _closed_form(scenario_profile(sc, n_cores), sc.traffic)
+    if r_e is None:
         return ExistenceResult(False, "arrival_rate", lam_bound, None)
-    w_arg = (g_eta * p_s - 1.0) / math.e
-    r_e = sc.link.bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
     size_bound = r_e / sc.traffic.arrival_rate
     if sc.traffic.file_size_bits >= size_bound:
         return ExistenceResult(False, "file_size", lam_bound, size_bound)
@@ -270,47 +275,25 @@ def energy_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:
     Independent of kappa and of alpha. Raises NoEnergyOptimumError when
     no finite-delay minimum exists.
     """
-    c = sc.compute if n_cores is None else replace(sc.compute, n_cores=n_cores)
-    return _closed_form_rate(
-        static_power(c, sc.radio),
-        sc.radio.p_sleep_w,
-        sc.radio.pa_efficiency,
-        sc.link.channel_gain,
-        sc.link.bandwidth_hz,
-        sc.radio.switch_energy_j,
-        sc.traffic,
-    )
+    return _optimal_rate(scenario_profile(sc, n_cores), sc.traffic)
 
 
 def earth_energy_optimal_rate(e: EarthParams, gain: float, bandwidth_hz: float,
                               switch_energy_j: float, t: TrafficParams) -> float:
     """Energy-minimizing rate of the macro baseline under the same sleep
     policy; its amplifier term enters through 1/delta_p."""
-    return _closed_form_rate(
-        e.n_trx * e.p0_w,
-        e.n_trx * e.p_sleep_w,
-        1.0 / e.delta_p,
-        gain,
-        bandwidth_hz,
-        switch_energy_j,
-        t,
-    )
+    return _optimal_rate(earth_profile(e, gain, bandwidth_hz, switch_energy_j), t)
 
 
 def asymptotic_power(sc: Scenario, n_cores: int | None = None) -> float:
     """Average power in the infinite-delay limit r -> offered load.
 
     The utilization tends to 1, so sleep and switching vanish and only
-    the static draw, the rate-linear BBU term at the offered load, and
-    the amplifier power of the slowest stable rate remain. Two traffic
-    mixes with equal offered load share this value.
+    the busy power at the offered load remains. Two traffic mixes with
+    equal offered load share this value. An offered load beyond a core,
+    link or amplifier cap raises the kernel's error.
     """
-    c = sc.compute if n_cores is None else replace(sc.compute, n_cores=n_cores)
-    load = sc.traffic.offered_load_bps
-    g_eta = sc.link.channel_gain * sc.radio.pa_efficiency
-    bbu_linear = delta_pb(c) * c.kappa * c.cpu_speed ** (c.beta - 1.0) * load
-    amp = (2.0 ** (load / sc.link.bandwidth_hz) - 1.0) / g_eta
-    return static_power(c, sc.radio) + bbu_linear + amp
+    return scenario_profile(sc, n_cores).busy_power(sc.traffic.offered_load_bps)
 
 
 def solve_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:
@@ -321,13 +304,15 @@ def solve_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:
     bisection to 1e-12 relative width. Bisection is deliberate: the gap
     is monotone, so convergence is unconditional.
     """
+    profile = scenario_profile(sc, n_cores)
+    t = sc.traffic
     if sc.alpha == 0.0:
-        return energy_optimal_rate(sc, n_cores)
+        return _optimal_rate(profile, t)
 
-    load = sc.traffic.offered_load_bps
+    load = t.offered_load_bps
 
     def gap(r: float) -> float:
-        return optimality_gap(sc, r, n_cores)
+        return optimality_gap(profile, t, sc.alpha, r)
 
     # The gap blows up to +inf at the stability boundary; walk the lower
     # end inward until it is positive.
@@ -360,12 +345,13 @@ def solve_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:
     raise ConvergenceError("bisection failed to converge")
 
 
-def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
-    """Best achievable rate for a fixed core count: the interior optimum
-    when it fits under the core capacity, else the capacity itself."""
-    r_cap = max_supportable_rate(replace(sc.compute, n_cores=n_cores))
-    load = sc.traffic.offered_load_bps
-    if r_cap <= load * (1.0 + STABILITY_MARGIN):
+def _rate_for_cores(sc: Scenario, n_cores: int) -> tuple[float, bool]:
+    """Best achievable rate on n_cores and whether the core capacity
+    clamped it: the interior optimum when it fits, else the capacity.
+    Raises InfeasibleLoadError or InfeasibleScenarioError when the cores
+    cannot reach a stable rate."""
+    r_cap = max_supportable_rate(sc.with_cores(n_cores).compute)
+    if r_cap <= sc.traffic.offered_load_bps * (1.0 + STABILITY_MARGIN):
         raise InfeasibleScenarioError(
             f"{n_cores} core(s) cannot reach a stable rate for this load"
         )
@@ -374,8 +360,16 @@ def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
     except (NoEnergyOptimumError, NoStationaryPointError):
         # No interior minimum: cost falls toward the open stability
         # boundary, so the only usable candidate is the capacity clamp.
-        return r_cap
-    return min(r_hat, r_cap)
+        return r_cap, True
+    if r_hat <= r_cap:
+        return r_hat, False
+    return r_cap, True
+
+
+def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
+    """Best achievable rate for a fixed core count: the interior optimum
+    when it fits under the core capacity, else the capacity itself."""
+    return _rate_for_cores(sc, n_cores)[0]
 
 
 def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
@@ -389,28 +383,20 @@ def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
     """
     if n_cores_max < 1:
         raise ValueError("n_cores_max must be at least 1")
-    load = sc.traffic.offered_load_bps
     candidates: list[TradeoffPoint] = []
     for n in range(1, n_cores_max + 1):
-        c_n = replace(sc.compute, n_cores=n)
-        if c_n.n_cores * c_n.cpu_speed <= c_n.c0:
-            continue  # cannot run the rate-independent load at all
-        r_cap = max_supportable_rate(c_n)
-        if r_cap <= load * (1.0 + STABILITY_MARGIN):
-            continue  # unstable even at full tilt
         try:
-            r_hat = solve_optimal_rate(sc, n)
-        except (NoEnergyOptimumError, NoStationaryPointError):
-            r_hat = None
-        if r_hat is not None and r_hat <= r_cap:
-            candidates.append(evaluate_point(sc, r_hat, n))
+            rate, clamped = _rate_for_cores(sc, n)
+        except (InfeasibleLoadError, InfeasibleScenarioError):
+            continue  # no stable rate on n cores
+        candidates.append(evaluate_point(sc, rate, n))
+        if not clamped:
             break
-        candidates.append(evaluate_point(sc, r_cap, n))
 
     if not candidates:
         raise InfeasibleScenarioError(
             f"no stable operating point with up to {n_cores_max} core(s) "
-            f"for offered load {load:.6g} bit/s"
+            f"for offered load {sc.traffic.offered_load_bps:.6g} bit/s"
         )
 
     best_cost = min(p.cost_z for p in candidates)
@@ -443,13 +429,8 @@ def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list
         n = cores_needed(sc.compute, r) if n_cores is None else n_cores
         try:
             points.append(CurvePoint(d, "ok", evaluate_point(sc, r, n)))
-        except InfeasibleLoadError:
-            points.append(CurvePoint(d, "over-compute-cap", None))
-        except UnstableQueueError:
-            points.append(CurvePoint(d, "unstable", None))
-        except ValueError:
-            # the spectral-efficiency guard: the link cannot carry this rate
-            points.append(CurvePoint(d, "over-link-cap", None))
+        except tuple(INFEASIBLE_STATUS) as exc:
+            points.append(CurvePoint(d, INFEASIBLE_STATUS[type(exc)], None))
     return points
 
 

@@ -13,13 +13,18 @@ the expanded busy power of the BBU is
 with dPB = (P_BM - P_Bm) / s0**beta. The macro baseline follows the
 affine EARTH-style model P0 + delta_p * p_out per transceiver.
 
+Both stations share one busy-power shape: a static draw, a rate-linear
+baseband term, and the amplifier input (2**(r/W) - 1) / (g * eta) for
+the transmit power that carries rate r. BusyPowerProfile holds its
+coefficients (for the macro baseline the rate term is zero and
+eta = 1 / delta_p); vbs_profile and earth_profile build it.
+
 All powers are watts, rates bit/s, energies joules.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -136,10 +141,16 @@ def bbu_power(c: ComputeParams, rate_bps, check: bool = True):
     cpu_load gives the same value to rounding.
     """
     cpu_load(c, rate_bps, check=check)  # feasibility gate only
-    dpb = delta_pb(c)
     s_pow = c.cpu_speed ** (c.beta - 1.0)
-    p = c.n_cores * c.p_core_min_w + dpb * c.c0 * s_pow + dpb * c.kappa * np.asarray(rate_bps, dtype=float) * s_pow
+    p = _bbu_floor(c) + delta_pb(c) * c.kappa * np.asarray(rate_bps, dtype=float) * s_pow
     return float(p) if np.ndim(p) == 0 else p
+
+
+def _check_power_cap(p_out, cap_w: float) -> None:
+    if np.any(p_out > cap_w):
+        raise PowerCapExceededError(
+            f"transmit power {np.max(p_out):.6g} W above cap {cap_w:.6g} W"
+        )
 
 
 def rrh_power(rp: RadioParams, p_out_w):
@@ -147,17 +158,19 @@ def rrh_power(rp: RadioParams, p_out_w):
     p_out = np.asarray(p_out_w, dtype=float)
     if np.any(p_out < 0):
         raise ValueError("transmit power must be nonnegative")
-    if np.any(p_out > rp.p_out_max_w):
-        raise PowerCapExceededError(
-            f"transmit power {np.max(p_out):.6g} W above cap {rp.p_out_max_w:.6g} W"
-        )
+    _check_power_cap(p_out, rp.p_out_max_w)
     p = p_out / rp.pa_efficiency + rp.p_rf_w
     return float(p) if np.ndim(p) == 0 else p
 
 
+def _bbu_floor(c: ComputeParams) -> float:
+    """Rate-independent part of the BBU power: idle floors plus the fixed load."""
+    return c.n_cores * c.p_core_min_w + delta_pb(c) * c.c0 * c.cpu_speed ** (c.beta - 1.0)
+
+
 def static_power(c: ComputeParams, rp: RadioParams) -> float:
     """Rate-independent part of the VBS busy power (transmit power excluded)."""
-    return c.n_cores * c.p_core_min_w + delta_pb(c) * c.c0 * c.cpu_speed ** (c.beta - 1.0) + rp.p_rf_w
+    return _bbu_floor(c) + rp.p_rf_w
 
 
 def sleep_adjusted_power(c: ComputeParams, rp: RadioParams, arrival_rate: float) -> float:
@@ -170,12 +183,9 @@ def sleep_adjusted_power(c: ComputeParams, rp: RadioParams, arrival_rate: float)
     return static_power(c, rp) - rp.p_sleep_w - 2.0 * arrival_rate * rp.switch_energy_j
 
 
-def vbs_busy_power(c: ComputeParams, rp: RadioParams, gain: float, rate_bps,
-                   check: bool = True):
+def vbs_busy_power(c: ComputeParams, rp: RadioParams, gain: float, rate_bps):
     """Total VBS supply power while serving at rate_bps."""
-    p_out = tx_power_for_rate(gain, rp.bandwidth_hz, rate_bps)
-    p = bbu_power(c, rate_bps, check=check) + rrh_power(rp, p_out)
-    return float(p) if np.ndim(p) == 0 else p
+    return vbs_profile(c, rp, gain).busy_power(rate_bps)
 
 
 def earth_busy_power(e: EarthParams, p_out_w):
@@ -183,54 +193,93 @@ def earth_busy_power(e: EarthParams, p_out_w):
     p_out = np.asarray(p_out_w, dtype=float)
     if np.any(p_out < 0):
         raise ValueError("transmit power must be nonnegative")
-    if np.any(p_out > e.p_out_max_w):
-        raise PowerCapExceededError(
-            f"transmit power {np.max(p_out):.6g} W above cap {e.p_out_max_w:.6g} W"
-        )
+    _check_power_cap(p_out, e.p_out_max_w)
     p = e.n_trx * e.p0_w + e.delta_p * p_out
     return float(p) if np.ndim(p) == 0 else p
 
 
 @dataclass(frozen=True)
 class BusyPowerProfile:
-    """Busy power as a function of rate, plus the sleep-cycle constants.
+    """Coefficients of the shared busy-power shape plus the sleep-cycle
+    constants. busy_power refuses rates above max_rate_bps (the core
+    capacity, with cpu_load's rounding slack) and transmit powers above
+    p_out_max_w."""
 
-    static_power_w and pa_efficiency describe the affine-plus-amplifier
-    structure when the realization has one; the closed-form rate
-    optimizer relies on them. They stay None for opaque profiles.
-    """
-
-    busy_power: Callable[[float], float]
+    base_w: float
+    rate_coeff: float
+    speed_factor: float
+    rf_w: float
+    pa_efficiency: float
+    gain: float
+    bandwidth_hz: float
     sleep_power_w: float
     switch_energy_j: float
-    static_power_w: float | None = None
-    pa_efficiency: float | None = None
+    max_rate_bps: float = math.inf
+    p_out_max_w: float = math.inf
 
     def __post_init__(self) -> None:
         if self.sleep_power_w < 0 or self.switch_energy_j < 0:
             raise ValueError("sleep power and switch energy must be nonnegative")
 
+    @property
+    def static_power_w(self) -> float:
+        """Rate-independent part of the busy power."""
+        return self.base_w + self.rf_w
 
-def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float,
-                check_load: bool = True) -> BusyPowerProfile:
-    """Profile for the virtualized station. check_load=False disables the
-    core-capacity gate, which grid searches use to probe past the cap."""
+    def sleep_adjusted_power(self, arrival_rate: float) -> float:
+        """Static busy power net of sleep draw and amortized switching:
+        static - sleep - 2 * arrival_rate * E_switch. Slowing down can only
+        pay while this is positive."""
+        return self.static_power_w - self.sleep_power_w - 2.0 * arrival_rate * self.switch_energy_j
+
+    def busy_power(self, rate_bps):
+        """Supply power while serving at rate_bps; scalar or array."""
+        # The link check in tx_power_for_rate runs first, then the core
+        # capacity, then the amplifier cap.
+        p_out = tx_power_for_rate(self.gain, self.bandwidth_hz, rate_bps)
+        r = np.asarray(rate_bps, dtype=float)
+        if np.any(r > self.max_rate_bps):
+            raise InfeasibleLoadError(
+                f"rate {np.max(r):.6g} bit/s above the core capacity "
+                f"{self.max_rate_bps:.6g} bit/s"
+            )
+        _check_power_cap(p_out, self.p_out_max_w)
+        # This grouping reproduces bbu_power + rrh_power bit for bit.
+        p = ((self.base_w + self.rate_coeff * r * self.speed_factor)
+             + (p_out / self.pa_efficiency + self.rf_w))
+        return float(p) if np.ndim(p) == 0 else p
+
+
+def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float) -> BusyPowerProfile:
+    """Profile for the virtualized station on c.n_cores cores."""
     return BusyPowerProfile(
-        busy_power=lambda r: vbs_busy_power(c, rp, gain, r, check=check_load),
+        base_w=_bbu_floor(c),
+        rate_coeff=delta_pb(c) * c.kappa,
+        speed_factor=c.cpu_speed ** (c.beta - 1.0),
+        rf_w=rp.p_rf_w,
+        pa_efficiency=rp.pa_efficiency,
+        gain=gain,
+        bandwidth_hz=rp.bandwidth_hz,
         sleep_power_w=rp.p_sleep_w,
         switch_energy_j=rp.switch_energy_j,
-        static_power_w=static_power(c, rp),
-        pa_efficiency=rp.pa_efficiency,
+        max_rate_bps=((1.0 + _LOAD_SLACK) * c.n_cores * c.cpu_speed - c.c0) / c.kappa,
+        p_out_max_w=rp.p_out_max_w,
     )
 
 
 def earth_profile(e: EarthParams, gain: float, bandwidth_hz: float,
                   switch_energy_j: float) -> BusyPowerProfile:
-    """Profile for the macro baseline under the same sleep-cycle policy."""
+    """Profile for the macro baseline under the same sleep-cycle policy:
+    no rate-linear term, and the amplifier slope delta_p as 1 / eta."""
     return BusyPowerProfile(
-        busy_power=lambda r: earth_busy_power(e, tx_power_for_rate(gain, bandwidth_hz, r)),
+        base_w=e.n_trx * e.p0_w,
+        rate_coeff=0.0,
+        speed_factor=1.0,
+        rf_w=0.0,
+        pa_efficiency=1.0 / e.delta_p,
+        gain=gain,
+        bandwidth_hz=bandwidth_hz,
         sleep_power_w=e.n_trx * e.p_sleep_w,
         switch_energy_j=switch_energy_j,
-        static_power_w=e.n_trx * e.p0_w,
-        pa_efficiency=1.0 / e.delta_p,
+        p_out_max_w=e.p_out_max_w,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import LinkCapacityError
 from .units import db_to_linear, dbm_per_hz_to_w_per_hz
 
 LN2 = math.log(2.0)
@@ -110,7 +111,7 @@ def tx_power_for_rate(gain: float, bandwidth_hz: float, rate_bps,
         raise ValueError("rate must be nonnegative")
     exponent = np.asarray(rate_bps) / bandwidth_hz
     if np.any(exponent > max_exponent):
-        raise ValueError(
+        raise LinkCapacityError(
             f"rate/bandwidth ratio above {max_exponent}; refusing to overflow"
         )
     p = (np.exp2(rate_bps / bandwidth_hz) - 1.0) / gain

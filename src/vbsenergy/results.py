@@ -8,7 +8,6 @@ bare newline, so equal inputs give byte-equal files on any platform.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, fields
 
 COLUMNS = (
@@ -63,15 +62,3 @@ def write_rows(stream, rows, header=COLUMNS) -> None:
     for row in rows:
         writer.writerow(row.values() if isinstance(row, ResultRow) else
                         [format_cell(v) for v in row])
-
-
-def rows_to_csv(rows, header=COLUMNS) -> str:
-    buf = io.StringIO()
-    write_rows(buf, rows, header)
-    return buf.getvalue()
-
-
-def parse_csv(textstream):
-    """Read rows back as dicts keyed by the header line."""
-    reader = csv.DictReader(textstream)
-    return list(reader)

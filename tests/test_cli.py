@@ -45,6 +45,14 @@ def test_power_rejects_rate_over_core_capacity(capsys):
     assert run_cli(capsys, "power", "--rate", "50 Mbps", "--cores", "2")[0] == 0
 
 
+def test_power_rejects_rate_over_link_capacity(capsys):
+    code, out, err = run_cli(capsys, "power", "--rate", "2Gbps")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_optimize_joint(capsys):
     code, out, _ = run_cli(capsys, "optimize")
     assert code == 0

@@ -100,11 +100,12 @@ def test_existence_conditions():
 
 def test_optimality_gap_sign_change():
     sc = Scenario()
-    assert optimality_gap(sc, R_E2 * 0.9, 2) > 0
-    assert optimality_gap(sc, R_E2 * 1.1, 2) < 0
-    assert abs(optimality_gap(sc, R_E2, 2)) < 1e-9
+    prof, t = scenario_profile(sc, 2), sc.traffic
+    assert optimality_gap(prof, t, sc.alpha, R_E2 * 0.9) > 0
+    assert optimality_gap(prof, t, sc.alpha, R_E2 * 1.1) < 0
+    assert abs(optimality_gap(prof, t, sc.alpha, R_E2)) < 1e-9
     with pytest.raises(UnstableQueueError):
-        optimality_gap(sc, 1.6e7, 2)
+        optimality_gap(prof, t, sc.alpha, 1.6e7)
 
 
 def test_solve_matches_closed_form_at_zero_alpha():
@@ -116,7 +117,7 @@ def test_solve_with_delay_penalty():
     sc = Scenario(alpha=10.0)
     r_star = solve_optimal_rate(sc, 2)
     # stationarity at the root, and a local-minimum sanity check
-    assert abs(optimality_gap(sc, r_star, 2)) < 1e-6
+    assert abs(optimality_gap(scenario_profile(sc, 2), sc.traffic, sc.alpha, r_star)) < 1e-6
     z = lambda r: evaluate_point(sc, r, 2).cost_z
     assert z(r_star) <= z(r_star * 0.99)
     assert z(r_star) <= z(r_star * 1.01)
@@ -235,6 +236,14 @@ def test_tradeoff_curve_statuses():
     auto = tradeoff_curve(sc, [0.1, 0.4, 1.0])
     assert all(p.status == "ok" for p in auto)
     assert auto[0].point.n_cores > 2
+
+
+def test_tradeoff_curve_flags_power_cap():
+    sc = Scenario()
+    capped = replace(sc, radio=replace(sc.radio, p_out_max_w=5.0))
+    pts = tradeoff_curve(capped, [2.0, 1.0, 0.3, 0.2], n_cores=4)
+    assert [p.status for p in pts] == ["ok", "ok", "ok", "over-power-cap"]
+    assert pts[3].point is None
 
 
 def test_scenario_validation():

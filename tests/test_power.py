@@ -1,4 +1,6 @@
 """Station power models: BBU, radio head, and the macro baseline."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from vbsenergy.power import (
     vbs_busy_power,
     vbs_profile,
 )
-from vbsenergy.radio import LinkBudget
+from vbsenergy.radio import LinkBudget, tx_power_for_rate
 
 # Expected numbers for the default platform (2 GHz cores, 5..20 W span,
 # beta = 2, c0 = 7e8, kappa = 35), worked out by hand once:
@@ -138,8 +140,29 @@ def test_profile_check_load_toggle():
     r_over = 5e7  # above the one-core capacity
     with pytest.raises(InfeasibleLoadError):
         vbs_profile(c, rp, GAIN).busy_power(r_over)
-    probe = vbs_profile(c, rp, GAIN, check_load=False)
-    assert probe.busy_power(r_over) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_profile_kernel_equals_composed_models_exactly(n):
+    # The simulator goldens hash SimStats bit for bit, so the coefficient
+    # kernel must reproduce bbu_power + rrh_power exactly, not to rounding.
+    c, rp = cores(n), RadioParams()
+    r_cap = (n * 2e9 - 7e8) / 35.0
+    rates = np.concatenate([
+        np.linspace(0.0, r_cap, 2001),
+        np.random.default_rng(n).uniform(0.0, r_cap, 2000),
+    ])
+    composed = bbu_power(c, rates) + rrh_power(rp, tx_power_for_rate(GAIN, 20e6, rates))
+    assert np.array_equal(vbs_profile(c, rp, GAIN).busy_power(rates), composed)
+    assert vbs_busy_power(c, rp, GAIN, float(rates[7])) == composed[7]
+
+
+def test_profiles_survive_pickle():
+    for prof in (vbs_profile(cores(2), RadioParams(), GAIN),
+                 earth_profile(EarthParams(), GAIN, 20e6, 5.0)):
+        back = pickle.loads(pickle.dumps(prof))
+        assert back == prof
+        assert back.busy_power(5e7) == prof.busy_power(5e7)
 
 
 def test_array_support():

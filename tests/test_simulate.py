@@ -1,4 +1,6 @@
 """Event simulator: determinism, bookkeeping, and analytic agreement."""
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -67,10 +69,12 @@ def test_isolated_flows_have_exact_delay():
     # At a rate so high that flows essentially never overlap, every
     # deterministic flow takes exactly size/rate and every busy period
     # is one flow, so cycles equal completions. A constant-power profile
-    # keeps the link model out of the picture.
+    # keeps the link model out of the picture: no rate term, and an
+    # unbounded band needs no transmit power.
     rate = 1e13
-    flat = BusyPowerProfile(busy_power=lambda r: 30.0, sleep_power_w=6.45,
-                            switch_energy_j=5.0)
+    flat = BusyPowerProfile(base_w=30.0, rate_coeff=0.0, speed_factor=1.0, rf_w=0.0,
+                            pa_efficiency=1.0, gain=1.0, bandwidth_hz=math.inf,
+                            sleep_power_w=6.45, switch_energy_j=5.0)
     cfg = make_config(
         rate_bps=rate,
         profile=flat,
