@@ -6,8 +6,11 @@ baseline (compare), run the event simulator (simulate), and print the
 effective configuration (config-show). Data goes to stdout as CSV with
 a fixed column set; diagnostics go to stderr.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 infeasible or
-unstable operating point, 4 simulation failed its analytic validation.
+Exit codes: 0 success, 2 usage or configuration error or a value outside
+the model's domain, 3 infeasible or unstable operating point, 4
+simulation failed its analytic validation. Errors print one ``error:``
+line on stderr; vbsenergy.errors decides which code and status each
+refusal gets.
 """
 from __future__ import annotations
 
@@ -19,9 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import Settings, apply_override, build_settings, read_config, render_config
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .optimize import (
-    INFEASIBLE_STATUS,
     JointResult,
     Scenario,
     TradeoffPoint,
@@ -46,8 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
-
-_DOMAIN_ERRORS = tuple(INFEASIBLE_STATUS)
 
 COMPARE_COLUMNS = (
     "scenario_id",
@@ -230,8 +230,8 @@ def _best_point(sc: Scenario, cores: int | None, cores_max: int) -> JointResult:
 
 def cmd_optimize(args) -> int:
     settings = _settings(args)
-    result = _best_point(settings.scenario, args.cores,
-                         args.cores_max or settings.n_cores_max)
+    cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
+    result = _best_point(settings.scenario, args.cores, cores_max)
     if args.verbose:
         for c in result.candidates:
             print(f"candidate: n_cores={c.n_cores} rate={c.rate_bps:.6g} "
@@ -256,6 +256,8 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"sweep grid {grid!r}: {exc}") from exc
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ConfigError(f"sweep grid {grid!r} needs finite endpoints")
     if steps < 1:
         raise ConfigError("sweep needs at least one step")
     if steps == 1:
@@ -279,7 +281,7 @@ def cmd_sweep(args) -> int:
     sc = settings.scenario
     base = _scenario_tag(settings)
     var, values = _parse_sweep_spec(args.spec)
-    cores_max = args.cores_max or settings.n_cores_max
+    cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
     rows: list[ResultRow] = []
 
     if var == "target_delay":
@@ -289,30 +291,25 @@ def cmd_sweep(args) -> int:
                 rows.append(_blank_row(sid, cp.status, args.cores))
             else:
                 rows.append(_point_row(sid, "sweep", cp.point, status=cp.status))
-    elif var == "n_cores":
-        for v in values:
-            if v != int(v) or v < 1:
-                raise ConfigError(f"n_cores sweep needs positive integers, got {v:g}")
-            n = int(v)
-            sid = f"{base}[n_cores={n}]"
-            try:
-                rows.append(_point_row(sid, "sweep", _best_point(sc, n, cores_max).point))
-            except _DOMAIN_ERRORS as exc:
-                rows.append(_blank_row(sid, INFEASIBLE_STATUS[type(exc)], n))
     else:
         for v in values:
-            sid = f"{base}[{var}={v:.6g}]"
-            if var == "alpha":
+            sc_v, cores, label = sc, args.cores, f"{v:.6g}"
+            if var == "n_cores":
+                if v != int(v) or v < 1:
+                    raise ConfigError(f"n_cores sweep needs positive integers, got {v:g}")
+                cores = int(v)
+                label = str(cores)
+            elif var == "alpha":
                 sc_v = replace(sc, alpha=v)
             elif var == "lambda":
                 sc_v = replace(sc, traffic=replace(sc.traffic, arrival_rate=v))
             else:
                 sc_v = replace(sc, traffic=replace(sc.traffic, file_size_bits=v))
+            sid = f"{base}[{var}={label}]"
             try:
-                point = _best_point(sc_v, args.cores, cores_max).point
-                rows.append(_point_row(sid, "sweep", point))
-            except _DOMAIN_ERRORS as exc:
-                rows.append(_blank_row(sid, INFEASIBLE_STATUS[type(exc)], args.cores))
+                rows.append(_point_row(sid, "sweep", _best_point(sc_v, cores, cores_max).point))
+            except InfeasibleError as exc:
+                rows.append(_blank_row(sid, exc.status, cores))
 
     with _out(args.output) as fh:
         write_rows(fh, rows)
@@ -351,9 +348,8 @@ def cmd_compare(args) -> int:
             rate = rate_for_delay(t, d)
             try:
                 n, p_vbs, p_cbs, savings = compare_at(rate)
-            except _DOMAIN_ERRORS as exc:
-                rows.append([sid, d, rate, None, None, None, None,
-                             INFEASIBLE_STATUS[type(exc)]])
+            except InfeasibleError as exc:
+                rows.append([sid, d, rate, None, None, None, None, exc.status])
                 continue
             rows.append([sid, d, rate, n, p_vbs, p_cbs, savings, "ok"])
 
@@ -410,11 +406,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_config_show(args) -> int:
-    text = read_config(args.config)
-    for section, key, value in _overrides(args):
-        apply_override(text, section, key, value)
-    build_settings(text)  # validate before claiming this is effective
-    sys.stdout.write(render_config(text))
+    sys.stdout.write(render_config(_settings(args).text))
     return EXIT_OK
 
 
@@ -423,12 +415,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (InfeasibleError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

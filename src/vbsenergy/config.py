@@ -308,6 +308,8 @@ def build_settings(text: ConfigText) -> Settings:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     if settings.n_cores_max < 1:
         raise ConfigError("[run] n_cores_max: must be at least 1")
+    if settings.seed < 0:
+        raise ConfigError("[run] seed: must be nonnegative")
     return settings
 
 

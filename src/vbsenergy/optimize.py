@@ -33,12 +33,11 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
-    LinkCapacityError,
     NoEnergyOptimumError,
     NoStationaryPointError,
-    PowerCapExceededError,
     UnstableQueueError,
 )
 from .lambertw import BRANCH_POINT_ARG, lambert_w0
@@ -64,19 +63,9 @@ TIE_REL_TOL = 1e-9
 # Rates are searched in (offered_load * (1 + STABILITY_MARGIN), r_max].
 STABILITY_MARGIN = 1e-9
 
-# Status of an operating point that each error refuses; tradeoff_curve
-# and the CLI flag such points instead of dropping them.
-INFEASIBLE_STATUS = {
-    UnstableQueueError: "unstable",
-    InfeasibleLoadError: "over-compute-cap",
-    LinkCapacityError: "over-link-cap",
-    PowerCapExceededError: "over-power-cap",
-    InfeasibleScenarioError: "infeasible",
-    NoEnergyOptimumError: "no-optimum",
-}
-
 _BISECT_RTOL = 1e-12
-_MAX_BRACKET_DOUBLINGS = 200
+# Enough doublings to walk from the smallest subnormal to the largest float.
+_MAX_BRACKET_DOUBLINGS = 2100
 _MAX_BISECT_ITER = 500
 
 
@@ -169,6 +158,8 @@ def cores_needed(c: ComputeParams, rate_bps: float) -> int:
     if rate_bps < 0:
         raise ValueError("rate must be nonnegative")
     need = (c.c0 + c.kappa * rate_bps) / c.cpu_speed
+    if not math.isfinite(need):
+        raise InfeasibleLoadError(f"no finite core count decodes {rate_bps:.6g} bit/s")
     return max(1, math.ceil(need - 1e-12))
 
 
@@ -426,11 +417,11 @@ def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list
             points.append(CurvePoint(d, "invalid-delay", None))
             continue
         r = rate_for_delay(sc.traffic, d)
-        n = cores_needed(sc.compute, r) if n_cores is None else n_cores
         try:
+            n = cores_needed(sc.compute, r) if n_cores is None else n_cores
             points.append(CurvePoint(d, "ok", evaluate_point(sc, r, n)))
-        except tuple(INFEASIBLE_STATUS) as exc:
-            points.append(CurvePoint(d, INFEASIBLE_STATUS[type(exc)], None))
+        except InfeasibleError as exc:
+            points.append(CurvePoint(d, exc.status, None))
     return points
 
 

@@ -7,6 +7,7 @@ link-budget construction, and never stored in dB.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -23,8 +24,6 @@ def db_to_linear(value_db: float) -> float:
 def linear_to_db(value: float) -> float:
     if value <= 0:
         raise ValueError("dB conversion needs a positive linear value")
-    import math
-
     return 10.0 * math.log10(value)
 
 
@@ -71,7 +70,7 @@ def parse_quantity(text: str, kind: str, where: str = "value") -> float:
     ``kind`` selects the accepted unit family. dB-valued kinds require
     the explicit suffix (a bare number would be ambiguous) and return
     the dB figure unchanged. ``fraction`` accepts a percentage or a
-    bare value in [0, 1].
+    bare value in [0, 1]. A result that is not finite is refused.
     """
     m = _NUMBER_RE.match(text)
     if not m:
@@ -84,25 +83,25 @@ def parse_quantity(text: str, kind: str, where: str = "value") -> float:
             raise ConfigError(
                 f"{where}: expected a value with unit {_DB_KINDS[kind]!r}, got {text!r}"
             )
-        return value
-
-    if kind == "fraction":
+    elif kind == "fraction":
         if suffix == "%":
-            return value / 100.0
-        if suffix == "":
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(
-                    f"{where}: bare fraction must lie in [0, 1]; use a % suffix for percentages"
-                )
-            return value
-        raise ConfigError(f"{where}: unknown unit {suffix!r} for a fraction")
-
-    table = _UNIT_TABLES.get(kind)
-    if table is None:
-        raise ConfigError(f"{where}: unknown quantity kind {kind!r}")
-    if suffix not in table:
-        allowed = ", ".join(repr(u) for u in table if u) or "none"
-        raise ConfigError(
-            f"{where}: unit {suffix!r} not valid here (allowed: {allowed})"
-        )
-    return value * table[suffix]
+            value /= 100.0
+        elif suffix != "":
+            raise ConfigError(f"{where}: unknown unit {suffix!r} for a fraction")
+        elif not 0.0 <= value <= 1.0:
+            raise ConfigError(
+                f"{where}: bare fraction must lie in [0, 1]; use a % suffix for percentages"
+            )
+    else:
+        table = _UNIT_TABLES.get(kind)
+        if table is None:
+            raise ConfigError(f"{where}: unknown quantity kind {kind!r}")
+        if suffix not in table:
+            allowed = ", ".join(repr(u) for u in table if u) or "none"
+            raise ConfigError(
+                f"{where}: unit {suffix!r} not valid here (allowed: {allowed})"
+            )
+        value *= table[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not a finite quantity")
+    return value

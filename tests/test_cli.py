@@ -1,10 +1,13 @@
 """Command line interface: subcommands, CSV output, and exit codes."""
+import contextlib
 import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbsenergy.cli import main
+from vbsenergy.cli import SWEEP_VARS, main
 
 
 def run_cli(capsys, *argv):
@@ -237,3 +240,93 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["power"])  # --rate is required
     assert ei.value.code == 2
+
+
+# Inputs outside the model's domain (exit 2) or refused by it (exit 3).
+# Each ends in one error line and no CSV.
+REFUSED = [
+    (("sweep", "lambda=0:1:3"), 2),
+    (("sweep", "file_size=-1:1e7:3"), 2),
+    (("sweep", "alpha=-1:1:3", "--cores", "2"), 2),
+    (("optimize", "--cores", "0"), 2),
+    (("sweep", "target_delay=nan:1:3"), 2),
+    (("optimize", "--alpha", "1e400"), 2),
+    (("power", "--rate", "1e400"), 2),
+    (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1e400"), 2),
+    (("sweep", "alpha=1:1e400:3"), 2),
+    (("optimize", "--cores-max", "0"), 2),
+    (("sweep", "lambda=0.5:1.5:3", "--cores-max", "0"), 2),
+    (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
+      "--seed", "-1"), 2),
+    (("power", "--rate", "10 Mbps"), 3),
+]
+
+
+@pytest.mark.parametrize("argv,expected", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_refused_inputs_exit_with_one_error_line(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_tiny_load_with_delay_penalty_brackets_the_root(capsys):
+    code, out, _ = run_cli(capsys, "optimize", "--lambda", "1e-60/s",
+                           "--alpha", "1", "--cores", "2")
+    assert code == 0
+    assert parse_rows(out)[0]["status"] == "ok"
+
+
+def test_sweep_flags_a_delay_no_finite_core_count_meets(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "target_delay=1e-300:1:2")
+    assert code == 0
+    assert [r["status"] for r in parse_rows(out)] == ["over-compute-cap", "ok"]
+
+
+# Edge values, plus a few in the model's domain so runs get past parsing.
+FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "1e400", "nan", "junk", "1", "2", "3e7")
+_TRAFFIC_FLAGS = ("--alpha", "--lambda", "--file-size")
+FUZZ_FLAGS = {
+    "power": ("--cores", *_TRAFFIC_FLAGS),
+    "optimize": ("--cores", "--cores-max", *_TRAFFIC_FLAGS),
+    "sweep": ("--cores", "--cores-max", *_TRAFFIC_FLAGS),
+    "compare": ("--policy", *_TRAFFIC_FLAGS),
+    "simulate": ("--cores", "--seed", *_TRAFFIC_FLAGS),
+    "config-show": _TRAFFIC_FLAGS,
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    value = st.sampled_from(FUZZ_VALUES)
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    if command == "sweep":
+        var = draw(st.sampled_from(SWEEP_VARS))
+        steps = draw(st.sampled_from(("1", "3", *FUZZ_VALUES)))
+        log = draw(st.sampled_from(("", ":log")))
+        argv.append(f"{var}={draw(value)}:{draw(value)}:{steps}{log}")
+    if command in ("power", "simulate"):
+        argv += ["--rate", draw(value)]
+    if command == "simulate":
+        argv += ["--arrivals", "1000"]
+    if command == "optimize" and draw(st.booleans()):
+        argv.append("--verbose")
+    for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True)):
+        choices = ("grid", "cbs-optimal", *FUZZ_VALUES) if flag == "--policy" else FUZZ_VALUES
+        argv += [flag, draw(st.sampled_from(choices))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

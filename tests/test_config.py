@@ -94,6 +94,11 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         build_settings(text)
 
+    text = default_text()
+    apply_override(text, "run", "seed", "-1")
+    with pytest.raises(ConfigError):
+        build_settings(text)
+
     with pytest.raises(ConfigError):
         apply_override(default_text(), "compute", "warp", "9")
 

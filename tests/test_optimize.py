@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from vbsenergy.errors import (
+    InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
+    LinkCapacityError,
     NoEnergyOptimumError,
+    PowerCapExceededError,
     UnstableQueueError,
 )
 from vbsenergy.optimize import (
@@ -56,6 +59,18 @@ def test_cores_needed():
     assert cores_needed(c, R_CBS) == 2
     with pytest.raises(ValueError):
         cores_needed(c, -1.0)
+    with pytest.raises(InfeasibleLoadError):
+        cores_needed(c, 1e308)  # no finite core count covers this load
+
+
+def test_each_refusal_declares_its_own_status():
+    statuses = [cls.status for cls in (
+        UnstableQueueError, InfeasibleLoadError, LinkCapacityError,
+        PowerCapExceededError, InfeasibleScenarioError, NoEnergyOptimumError)]
+    assert statuses == ["unstable", "over-compute-cap", "over-link-cap",
+                        "over-power-cap", "infeasible", "no-optimum"]
+    assert all(issubclass(cls, InfeasibleError) for cls in (
+        UnstableQueueError, LinkCapacityError, NoEnergyOptimumError))
 
 
 def test_energy_optimal_rate():

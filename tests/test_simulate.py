@@ -1,5 +1,6 @@
 """Event simulator: determinism, bookkeeping, and analytic agreement."""
 import math
+import types
 
 import numpy as np
 import pytest
@@ -180,3 +181,10 @@ def test_processor_sharing_slows_concurrent_flows():
     rho = 1.6e7 / 3e7
     ps_delay = (rho / (1 - rho)) / 1.0
     assert st.mean_delay_s == pytest.approx(ps_delay, rel=0.05)
+
+
+def test_simulate_module_is_not_shadowed():
+    import vbsenergy.simulate as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.simulate is simulate

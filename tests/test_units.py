@@ -65,6 +65,18 @@ def test_bad_quantities():
         parse_quantity("1", "no-such-kind")
 
 
+@pytest.mark.parametrize("text,kind", [
+    ("1e400", "dimensionless"),
+    ("-1e400 W", "power"),
+    ("1e300 GHz", "frequency"),  # finite until the unit scales it
+    ("1e400 dB", "db"),
+    ("1e400 %", "fraction"),
+])
+def test_non_finite_quantities_are_rejected(text, kind):
+    with pytest.raises(ConfigError):
+        parse_quantity(text, kind)
+
+
 def test_db_conversions():
     assert db_to_linear(9.0) == pytest.approx(10.0 ** 0.9, rel=1e-15)
     assert linear_to_db(db_to_linear(-3.7)) == pytest.approx(-3.7, rel=1e-12)
