@@ -6,11 +6,11 @@ baseline (compare), run the event simulator (simulate), and print the
 effective configuration (config-show). Data goes to stdout as CSV with
 a fixed column set; diagnostics go to stderr.
 
-Exit codes: 0 success, 2 usage or configuration error or a value outside
-the model's domain, 3 infeasible or unstable operating point, 4
-simulation failed its analytic validation. Errors print one ``error:``
-line on stderr; vbsenergy.errors decides which code and status each
-refusal gets.
+Exit codes: 0 success, 2 usage or configuration error, a value outside
+the model's domain, or an output or trace file that cannot be opened, 3
+infeasible or unstable operating point, 4 simulation failed its analytic
+validation. Errors print one ``error:`` line on stderr;
+vbsenergy.errors decides which code and status each refusal gets.
 """
 from __future__ import annotations
 
@@ -415,7 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, ConfigError, ValueError) as exc:
+    except (InfeasibleError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_USAGE
 

@@ -213,29 +213,35 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     return lambert_w0(w_arg) - (rate_bps * LN2 / profile.bandwidth_hz - 1.0)
 
 
-def _closed_form(profile: BusyPowerProfile, t: TrafficParams) -> tuple[float, float | None]:
-    """The largest arrival rate that keeps the sleep-adjusted static
-    power P_s positive, and the power minimizer r_e at alpha = 0 (None
-    when P_s <= 0, where no finite-delay minimum exists)."""
+def _closed_form(profile: BusyPowerProfile,
+                 t: TrafficParams) -> tuple[ExistenceResult, float | None]:
+    """The paper's two existence conditions, decided only here, and the
+    power minimizer r_e at alpha = 0 (None when the sleep-adjusted static
+    power P_s <= 0). The size condition compares the offered load with
+    r_e, so an r_e reported as existing is always a stable rate."""
     e_sw = profile.switch_energy_j
     lam_bound = (math.inf if e_sw == 0
                  else (profile.static_power_w - profile.sleep_power_w) / (2.0 * e_sw))
     p_s = profile.sleep_adjusted_power(t.arrival_rate)
     if p_s <= 0:
-        return lam_bound, None
+        return ExistenceResult(False, "arrival_rate", lam_bound, None), None
     w_arg = (profile.gain * profile.pa_efficiency * p_s - 1.0) / math.e
-    return lam_bound, profile.bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
+    r_e = profile.bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
+    exists = t.offered_load_bps < r_e
+    return (ExistenceResult(exists, None if exists else "file_size", lam_bound,
+                            r_e / t.arrival_rate), r_e)
 
 
 def _optimal_rate(profile: BusyPowerProfile, t: TrafficParams) -> float:
     """r_e, or NoEnergyOptimumError naming the failed existence condition."""
-    lam_bound, r_e = _closed_form(profile, t)
-    if r_e is None:
+    res, r_e = _closed_form(profile, t)
+    if res.reason == "arrival_rate":
         raise NoEnergyOptimumError(
-            f"switching cost dominates: arrival rate must stay below {lam_bound:.6g}/s",
+            f"switching cost dominates: arrival rate must stay below "
+            f"{res.arrival_rate_bound:.6g}/s",
             reason="arrival_rate",
         )
-    if t.offered_load_bps >= r_e:
+    if res.reason == "file_size":
         raise NoEnergyOptimumError(
             f"offered load {t.offered_load_bps:.6g} bit/s at or above the "
             f"minimizer {r_e:.6g} bit/s; power only falls as delay grows",
@@ -251,13 +257,7 @@ def energy_optimal_exists(sc: Scenario, n_cores: int | None = None) -> Existence
     positive; then the offered load must sit below the closed-form
     minimizer. The reported bounds make both checks reproducible.
     """
-    lam_bound, r_e = _closed_form(scenario_profile(sc, n_cores), sc.traffic)
-    if r_e is None:
-        return ExistenceResult(False, "arrival_rate", lam_bound, None)
-    size_bound = r_e / sc.traffic.arrival_rate
-    if sc.traffic.file_size_bits >= size_bound:
-        return ExistenceResult(False, "file_size", lam_bound, size_bound)
-    return ExistenceResult(True, None, lam_bound, size_bound)
+    return _closed_form(scenario_profile(sc, n_cores), sc.traffic)[0]
 
 
 def energy_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:

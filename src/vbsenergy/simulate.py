@@ -12,6 +12,13 @@ arriving at time a with size x finishes when C reaches C(a) + x. Events
 are therefore just arrivals and the smallest finish tag in a heap, and
 each event advances the clock in O(log n).
 
+The event loop only moves the queue. It logs the clock and the queue
+length after every event, and the flow index of every departure, into
+typed arrays; everything else is read from that log afterwards. Each
+pair of consecutive entries is a constant-occupancy segment, the events
+where the length falls are departures, and those where it reaches zero
+end a sleep/wake cycle. The optional trace replays the same log.
+
 Energy bookkeeping: busy intervals cost P_busy(r), idle intervals cost
 P_sleep, and each completed sleep/wake cycle costs 2 * E_switch, charged
 at the instant the system empties. The run drains the queue after the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +42,6 @@ from scipy import stats as _stats
 from .errors import UnstableQueueError
 from .power import BusyPowerProfile
 from .queueing import TrafficParams, average_power, queue_metrics
-
-RNG_ALGORITHM = "numpy PCG64 via SeedSequence"
 
 SIZE_DISTRIBUTIONS = ("exponential", "deterministic", "bounded-pareto")
 
@@ -179,119 +185,106 @@ def _batch_mean_by_time(times, values, edges):
     return sums[mask] / counts[mask], counts
 
 
+def _write_trace(fh, log_t, log_n, p_busy: float, p_sleep: float, e_sw: float) -> None:
+    """Replay the event log as one tab-separated line per event, with the
+    supply energy drawn so far; an emptying's 2 * E_switch is charged
+    after its line."""
+    fh.write("time_s\tevent\tqueue_len\tenergy_j\n")
+    energy = 0.0
+    for k in range(1, len(log_t)):
+        now, n, n_prev = log_t[k], log_n[k], log_n[k - 1]
+        dt = now - log_t[k - 1]
+        if dt > 0.0:
+            energy += dt * (p_busy if n_prev else p_sleep)
+        fh.write(f"{now:.9f}\t{'arrive' if n > n_prev else 'depart'}\t{n}\t{energy:.6f}\n")
+        if not n:
+            energy += 2.0 * e_sw
+
+
 def simulate(cfg: SimConfig) -> SimStats:
     """Run one simulation and return batch-means statistics."""
+    rate = cfg.rate_bps
+    p_busy = float(cfg.profile.busy_power(rate))
+    p_sleep = cfg.profile.sleep_power_w
+    e_sw = cfg.profile.switch_energy_j
+    # Open first, so that a bad path fails before any simulation work.
+    trace = open(cfg.trace_path, "w") if cfg.trace_path else None
+
     t_cfg = cfg.traffic
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     n_total = cfg.n_arrivals
     arrivals = np.cumsum(rng.exponential(1.0 / t_cfg.arrival_rate, size=n_total))
     sizes = _draw_sizes(rng, cfg.size_distribution, t_cfg.file_size_bits, n_total)
-
-    rate = cfg.rate_bps
-    p_busy = float(cfg.profile.busy_power(rate))
-    p_sleep = cfg.profile.sleep_power_w
-    e_sw = cfg.profile.switch_energy_j
-
     warm_count = int(cfg.warmup_fraction * n_total)
     t_warm = float(arrivals[warm_count]) if warm_count > 0 else 0.0
 
-    trace = open(cfg.trace_path, "w") if cfg.trace_path else None
-    if trace:
-        trace.write("time_s\tevent\tqueue_len\tenergy_j\n")
-
-    # Event loop state. heap holds (finish_tag, flow_index).
+    # The loop only moves the queue. heap holds (finish_tag, flow_index);
+    # the log holds the clock and queue length from the start and after
+    # every event, and the flow index of every departure.
+    arr = arrivals.tolist()
+    arr.append(math.inf)
+    size = sizes.tolist()
     heap: list[tuple[float, int]] = []
     credit = 0.0
     now = 0.0
-    energy = 0.0  # absolute accumulator, for the trace
-    last_empty = 0.0
-
-    # Post-warmup records.
-    seg_t0: list[float] = []
-    seg_t1: list[float] = []
-    seg_n: list[int] = []
-    delay_t: list[float] = []
-    delay_v: list[float] = []
-    cycle_t: list[float] = []
-    cycle_v: list[float] = []
-
-    def advance(t_new: float) -> None:
-        nonlocal now, credit, energy
-        dt = t_new - now
-        if dt > 0.0:
-            n_act = len(heap)
-            if n_act:
-                credit += dt * rate / n_act
-                energy += dt * p_busy
-            else:
-                energy += dt * p_sleep
-            lo = max(now, t_warm)
-            if t_new > lo:
-                seg_t0.append(lo)
-                seg_t1.append(t_new)
-                seg_n.append(n_act)
-            now = t_new
-
+    log_t = array("d", [now])
+    log_n = array("q", [0])
+    log_flow = array("q")
     i = 0
-    completed = 0
     while i < n_total or heap:
         if heap:
-            tag = heap[0][0]
-            t_next_done = now + (tag - credit) * len(heap) / rate
+            t_done = now + (heap[0][0] - credit) * len(heap) / rate
         else:
-            t_next_done = math.inf
-        t_next_arr = arrivals[i] if i < n_total else math.inf
-
-        if t_next_arr < t_next_done:
-            advance(t_next_arr)
-            heapq.heappush(heap, (credit + sizes[i], i))
-            if trace:
-                trace.write(f"{now:.9f}\tarrive\t{len(heap)}\t{energy:.6f}\n")
+            t_done = math.inf
+        arriving = arr[i] < t_done
+        t_new = arr[i] if arriving else t_done
+        if t_new > now:
+            if heap:
+                credit += (t_new - now) * rate / len(heap)
+            now = t_new
+        if arriving:
+            heapq.heappush(heap, (credit + size[i], i))
             i += 1
         else:
-            advance(t_next_done)
-            tag, idx = heapq.heappop(heap)
-            credit = tag  # exact snap kills drift from the advance
-            completed += 1
-            if idx >= warm_count:
-                delay_t.append(now)
-                delay_v.append(now - arrivals[idx])
-            if trace:
-                trace.write(f"{now:.9f}\tdepart\t{len(heap)}\t{energy:.6f}\n")
-            if not heap:
-                # System empties: one sleep/wake cycle is complete.
-                energy += 2.0 * e_sw
-                if now >= t_warm:
-                    cycle_t.append(now)
-                    cycle_v.append(now - last_empty)
-                last_empty = now
-
+            credit, idx = heapq.heappop(heap)  # exact snap kills drift
+            log_flow.append(idx)
+        log_t.append(now)
+        log_n.append(len(heap))
+    del arr, size  # free the per-flow lists before the batch statistics
     if trace:
-        trace.close()
+        with trace:
+            _write_trace(trace, log_t, log_n, p_busy, p_sleep, e_sw)
 
-    t_end = now
-    window = t_end - t_warm
-    edges = np.linspace(t_warm, t_end, cfg.n_batches + 1)
-
-    st0 = np.asarray(seg_t0)
-    st1 = np.asarray(seg_t1)
-    sn = np.asarray(seg_n, dtype=float)
-    area_b, busy_b = _batch_time_stats(st0, st1, sn, edges)
+    t = np.frombuffer(log_t)
+    n = np.frombuffer(log_n, dtype=np.int64)
+    t_prev, t_ev, n_prev, n_ev = t[:-1], t[1:], n[:-1], n[1:]
+    window = now - t_warm
+    edges = np.linspace(t_warm, now, cfg.n_batches + 1)
     dur_b = np.diff(edges)
 
-    cyc_t = np.asarray(cycle_t)
-    cyc_v = np.asarray(cycle_v)
-    switch_idx = np.clip(np.searchsorted(edges, cyc_t, side="right") - 1, 0, cfg.n_batches - 1)
-    switch_b = np.bincount(switch_idx, minlength=cfg.n_batches) * 2.0 * e_sw
+    # Post-warmup segments: (max(t_prev, t_warm), t, n_prev) where t
+    # exceeds that start.
+    t0 = np.maximum(t_prev, t_warm)
+    keep = t_ev > t0
+    area_b, busy_b = _batch_time_stats(t0[keep], t_ev[keep], n_prev[keep].astype(float), edges)
 
-    energy_b = busy_b * p_busy + (dur_b - busy_b) * p_sleep + switch_b
+    # Departures are the events where n falls, and cycles end where it
+    # reaches 0; both count only after the warm-up.
+    flow = np.frombuffer(log_flow, dtype=np.int64)
+    late = flow >= warm_count
+    delay_t = t_ev[n_ev < n_prev][late]
+    delay_v = delay_t - arrivals[flow[late]]
+    empty_t = t_ev[n_ev == 0]
+    after = empty_t >= t_warm
+    cyc_t, cycle_v = empty_t[after], np.diff(empty_t, prepend=0.0)[after]
+
+    delay_b, _ = _batch_mean_by_time(delay_t, delay_v, edges)
+    cycle_b, cycles_b = _batch_mean_by_time(cyc_t, cycle_v, edges)
+    energy_b = busy_b * p_busy + (dur_b - busy_b) * p_sleep + cycles_b * 2.0 * e_sw
 
     qlen_b = area_b / dur_b
     power_b = energy_b / dur_b
     busyfrac_b = busy_b / dur_b
-    delay_b, _ = _batch_mean_by_time(np.asarray(delay_t), np.asarray(delay_v), edges)
-    cycle_b, _ = _batch_mean_by_time(cyc_t, cyc_v, edges)
-
     total_busy = float(np.sum(busy_b))
     total_energy = float(np.sum(energy_b))
 
@@ -306,16 +299,16 @@ def simulate(cfg: SimConfig) -> SimStats:
     return SimStats(
         mean_queue_len=float(np.sum(area_b)) / window,
         queue_len_halfwidth=halfwidth(qlen_b, cfg.confidence),
-        mean_delay_s=float(np.mean(delay_v)) if delay_v else math.nan,
+        mean_delay_s=float(np.mean(delay_v)) if delay_v.size else math.nan,
         delay_halfwidth_s=halfwidth(delay_b, cfg.confidence),
         mean_power_w=total_energy / window,
         power_halfwidth_w=halfwidth(power_b, cfg.confidence),
         busy_fraction=total_busy / window,
         busy_fraction_halfwidth=halfwidth(busyfrac_b, cfg.confidence),
-        mean_cycle_s=float(np.mean(cycle_v)) if cycle_v else math.nan,
+        mean_cycle_s=float(np.mean(cycle_v)) if cycle_v.size else math.nan,
         cycle_halfwidth_s=halfwidth(cycle_b, cfg.confidence),
-        cycles_observed=len(cycle_v),
-        completed_flows=len(delay_v),
+        cycles_observed=int(cycle_v.size),
+        completed_flows=int(delay_v.size),
         window_s=window,
         confidence=cfg.confidence,
         batch_means=batches,

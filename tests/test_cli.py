@@ -258,6 +258,9 @@ REFUSED = [
     (("sweep", "lambda=0.5:1.5:3", "--cores-max", "0"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--seed", "-1"), 2),
+    (("optimize", "--output", "/nonexistent/x.csv"), 2),
+    (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
+      "--trace", "/nonexistent/t.tsv"), 2),
     (("power", "--rate", "10 Mbps"), 3),
 ]
 

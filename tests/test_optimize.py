@@ -113,6 +113,20 @@ def test_existence_conditions():
     assert ei.value.reason == "file_size"
 
 
+def test_existence_and_rate_agree_at_the_size_bound():
+    # Offered load one rounding step below r_e, while the file size sits
+    # at r_e / lambda after rounding: the existence check and the closed
+    # form must still give one answer.
+    t = TrafficParams(arrival_rate=0.8607086872813635,
+                      file_size_bits=float.fromhex("0x1.238b2c03060e0p+26"))
+    sc = replace(Scenario(), traffic=t)
+    res = energy_optimal_exists(sc, 2)
+    assert res and res.reason is None
+    r_e = energy_optimal_rate(sc, 2)
+    assert r_e > t.offered_load_bps
+    assert t.file_size_bits >= res.file_size_bound
+
+
 def test_optimality_gap_sign_change():
     sc = Scenario()
     prof, t = scenario_profile(sc, 2), sc.traffic
