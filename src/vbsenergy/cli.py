@@ -3,8 +3,11 @@
 Subcommands evaluate operating points (power), optimize rate and core
 count (optimize), sweep a parameter (sweep), compare against the macro
 baseline (compare), run the event simulator (simulate), and print the
-effective configuration (config-show). Data goes to stdout as CSV with
-a fixed column set; diagnostics go to stderr.
+effective configuration (config-show). Data goes to stdout, or to
+--output, as CSV: compare has its own columns, every other command the
+columns of vbsenergy.results.COLUMNS. Diagnostics go to stderr. main
+reads the settings and then opens --output, once each and before any
+work, so a refused command leaves the file empty.
 
 Exit codes: 0 success, 2 usage or configuration error, a value outside
 the model's domain, or an output or trace file that cannot be opened, 3
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +43,7 @@ from .optimize import (
 from .power import earth_profile
 # Unused average_power stays importable: perfbench/tracer.py wraps it here.
 from .queueing import average_power, queue_metrics  # noqa: F401
-from .results import ResultRow, write_rows
+from .results import write_rows
 from .simulate import SimConfig, validate_against_analytic
 from .units import parse_quantity
 
@@ -153,26 +156,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _overrides(args) -> list[tuple[str, str, str]]:
-    pairs = (
-        ("alpha", "run", "alpha"),
-        ("arrival_rate", "traffic", "arrival_rate"),
-        ("file_size", "traffic", "file_size"),
-        ("seed", "run", "seed"),
-        ("arrivals", "run", "arrivals"),
-    )
-    out = []
-    for attr, section, key in pairs:
-        value = getattr(args, attr, None)
-        if value is not None:
-            out.append((section, key, value))
-    return out
+# (argparse dest, section, key) of each flag that overrides a setting.
+_OVERRIDES = (
+    ("alpha", "run", "alpha"),
+    ("arrival_rate", "traffic", "arrival_rate"),
+    ("file_size", "traffic", "file_size"),
+    ("seed", "run", "seed"),
+    ("arrivals", "run", "arrivals"),
+)
 
 
 def _settings(args) -> Settings:
     text = read_config(args.config)
-    for section, key, value in _overrides(args):
-        apply_override(text, section, key, value)
+    for attr, section, key in _OVERRIDES:
+        value = getattr(args, attr, None)
+        if value is not None:
+            apply_override(text, section, key, value)
     return build_settings(text)
 
 
@@ -182,41 +181,24 @@ def _scenario_tag(settings: Settings) -> str:
             f"-alpha{settings.alpha:.6g}")
 
 
-@contextmanager
 def _out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+    return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
-def _point_row(scenario_id: str, command: str, p: TradeoffPoint,
-               source: str = "analytic", seed: int | None = None,
-               status: str = "ok") -> ResultRow:
-    return ResultRow(
-        scenario_id=scenario_id,
-        command=command,
-        rate_bps=p.rate_bps,
-        n_cores=p.n_cores,
-        rho=p.rho,
-        mean_queue_len=p.mean_queue_len,
-        mean_delay_s=p.mean_delay_s,
-        avg_power_w=p.avg_power_w,
-        cost_z=p.cost_z,
-        source=source,
-        seed=seed,
-        status=status,
-    )
+def _row(sid: str, command: str, p: TradeoffPoint | None, status: str = "ok",
+         n_cores: int | None = None) -> tuple:
+    """An analytic row in COLUMNS order; a refused point (None) has a blank body."""
+    if p is None:
+        return (sid, command, None, n_cores, None, None, None, None, None,
+                "analytic", None, status)
+    return (sid, command, p.rate_bps, p.n_cores, p.rho, p.mean_queue_len,
+            p.mean_delay_s, p.avg_power_w, p.cost_z, "analytic", None, status)
 
 
-def cmd_power(args) -> int:
-    settings = _settings(args)
-    sc = settings.scenario
+def cmd_power(args, settings: Settings, fh) -> int:
     rate = parse_quantity(args.rate, "bitrate", where="--rate")
-    point = evaluate_point(sc, rate, args.cores)
-    with _out(args.output) as fh:
-        write_rows(fh, [_point_row(_scenario_tag(settings), "power", point)])
+    point = evaluate_point(settings.scenario, rate, args.cores)
+    write_rows(fh, [_row(_scenario_tag(settings), "power", point)])
     return EXIT_OK
 
 
@@ -228,8 +210,7 @@ def _best_point(sc: Scenario, cores: int | None, cores_max: int) -> JointResult:
     return JointResult(point.rate_bps, cores, point, (point,))
 
 
-def cmd_optimize(args) -> int:
-    settings = _settings(args)
+def cmd_optimize(args, settings: Settings, fh) -> int:
     cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
     result = _best_point(settings.scenario, args.cores, cores_max)
     if args.verbose:
@@ -237,8 +218,7 @@ def cmd_optimize(args) -> int:
             print(f"candidate: n_cores={c.n_cores} rate={c.rate_bps:.6g} "
                   f"power={c.avg_power_w:.6g} cost={c.cost_z:.6g}",
                   file=sys.stderr)
-    with _out(args.output) as fh:
-        write_rows(fh, [_point_row(_scenario_tag(settings), "optimize", result.point)])
+    write_rows(fh, [_row(_scenario_tag(settings), "optimize", result.point)])
     return EXIT_OK
 
 
@@ -271,26 +251,17 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
     return name, values
 
 
-def _blank_row(scenario_id: str, status: str, n_cores: int | None = None) -> ResultRow:
-    return ResultRow(scenario_id=scenario_id, command="sweep",
-                     n_cores=n_cores, status=status)
-
-
-def cmd_sweep(args) -> int:
-    settings = _settings(args)
+def cmd_sweep(args, settings: Settings, fh) -> int:
     sc = settings.scenario
     base = _scenario_tag(settings)
     var, values = _parse_sweep_spec(args.spec)
     cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
-    rows: list[ResultRow] = []
+    rows = []
 
     if var == "target_delay":
         for cp in tradeoff_curve(sc, values, n_cores=args.cores):
             sid = f"{base}[target_delay={cp.target_delay_s:.6g}]"
-            if cp.point is None:
-                rows.append(_blank_row(sid, cp.status, args.cores))
-            else:
-                rows.append(_point_row(sid, "sweep", cp.point, status=cp.status))
+            rows.append(_row(sid, "sweep", cp.point, cp.status, args.cores))
     else:
         for v in values:
             sc_v, cores, label = sc, args.cores, f"{v:.6g}"
@@ -307,17 +278,14 @@ def cmd_sweep(args) -> int:
                 sc_v = replace(sc, traffic=replace(sc.traffic, file_size_bits=v))
             sid = f"{base}[{var}={label}]"
             try:
-                rows.append(_point_row(sid, "sweep", _best_point(sc_v, cores, cores_max).point))
+                rows.append(_row(sid, "sweep", _best_point(sc_v, cores, cores_max).point))
             except InfeasibleError as exc:
-                rows.append(_blank_row(sid, exc.status, cores))
-
-    with _out(args.output) as fh:
-        write_rows(fh, rows)
+                rows.append(_row(sid, "sweep", None, exc.status, cores))
+    write_rows(fh, rows)
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    settings = _settings(args)
+def cmd_compare(args, settings: Settings, fh) -> int:
     if settings.earth is None:
         raise ConfigError("the macro baseline is disabled in [earth]; "
                           "set enabled = true to compare")
@@ -338,8 +306,8 @@ def cmd_compare(args) -> int:
             settings.earth_switch_energy_j, t)
         delay = queue_metrics(t, rate).mean_delay_s
         n, p_vbs, p_cbs, savings = compare_at(rate)
-        rows.append([f"{base}[cbs-optimal]", delay, rate, n,
-                     p_vbs, p_cbs, savings, "ok"])
+        rows.append((f"{base}[cbs-optimal]", delay, rate, n,
+                     p_vbs, p_cbs, savings, "ok"))
     else:
         delays = np.geomspace(_COMPARE_DELAY_MIN_S, _COMPARE_DELAY_MAX_S,
                               _COMPARE_DELAY_POINTS)
@@ -349,17 +317,14 @@ def cmd_compare(args) -> int:
             try:
                 n, p_vbs, p_cbs, savings = compare_at(rate)
             except InfeasibleError as exc:
-                rows.append([sid, d, rate, None, None, None, None, exc.status])
+                rows.append((sid, d, rate, None, None, None, None, exc.status))
                 continue
-            rows.append([sid, d, rate, n, p_vbs, p_cbs, savings, "ok"])
-
-    with _out(args.output) as fh:
-        write_rows(fh, rows, header=COMPARE_COLUMNS)
+            rows.append((sid, d, rate, n, p_vbs, p_cbs, savings, "ok"))
+    write_rows(fh, rows, header=COMPARE_COLUMNS)
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    settings = _settings(args)
+def cmd_simulate(args, settings: Settings, fh) -> int:
     sc = settings.scenario
     rate = parse_quantity(args.rate, "bitrate", where="--rate")
     n = args.cores if args.cores is not None else sc.compute.n_cores
@@ -385,36 +350,25 @@ def cmd_simulate(args) -> int:
     print(f"completed {stats.completed_flows} flows over {stats.window_s:.6g} s, "
           f"{stats.cycles_observed} sleep cycles", file=sys.stderr)
 
-    status = "ok" if report.ok else "validation-failed"
-    row = ResultRow(
-        scenario_id=_scenario_tag(settings),
-        command="simulate",
-        rate_bps=rate,
-        n_cores=n,
-        rho=stats.busy_fraction,
-        mean_queue_len=stats.mean_queue_len,
-        mean_delay_s=stats.mean_delay_s,
-        avg_power_w=stats.mean_power_w,
-        cost_z=stats.mean_power_w + sc.alpha * stats.mean_queue_len,
-        source="simulated",
-        seed=settings.seed,
-        status=status,
-    )
-    with _out(args.output) as fh:
-        write_rows(fh, [row])
+    row = (_scenario_tag(settings), "simulate", rate, n, stats.busy_fraction,
+           stats.mean_queue_len, stats.mean_delay_s, stats.mean_power_w,
+           stats.mean_power_w + sc.alpha * stats.mean_queue_len, "simulated",
+           settings.seed, "ok" if report.ok else "validation-failed")
+    write_rows(fh, [row])
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def cmd_config_show(args) -> int:
-    sys.stdout.write(render_config(_settings(args).text))
+def cmd_config_show(args, settings: Settings, fh) -> int:
+    fh.write(render_config(settings.text))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        settings = _settings(args)
+        with _out(getattr(args, "output", None)) as fh:
+            return args.func(args, settings, fh)
     except (InfeasibleError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_USAGE

@@ -70,40 +70,43 @@ warmup_fraction = 0.1
 size_distribution = exponential
 """
 
-# (section, key) -> parse kind. "int", "bool", and "choice" are handled
-# locally; everything else goes through parse_quantity.
-_REGISTRY: dict[tuple[str, str], str] = {
-    ("compute", "n_cores"): "int",
-    ("compute", "cpu_speed"): "frequency",
-    ("compute", "ref_speed"): "frequency",
-    ("compute", "p_core_max"): "power",
-    ("compute", "p_core_min"): "power",
-    ("compute", "beta"): "dimensionless",
-    ("compute", "c0"): "dimensionless",
-    ("compute", "kappa"): "dimensionless",
-    ("radio", "pa_efficiency"): "fraction",
-    ("radio", "rf_power"): "power",
-    ("radio", "sleep_power"): "power",
-    ("radio", "switch_energy"): "energy",
-    ("link", "carrier_frequency"): "frequency",
-    ("link", "cell_radius"): "distance",
-    ("link", "noise_figure"): "db",
-    ("link", "noise_density"): "dbm_per_hz",
-    ("link", "bandwidth"): "frequency",
-    ("traffic", "arrival_rate"): "arrival",
-    ("traffic", "file_size"): "datasize",
-    ("earth", "enabled"): "bool",
-    ("earth", "n_trx"): "int",
-    ("earth", "p0"): "power",
-    ("earth", "delta_p"): "dimensionless",
-    ("earth", "sleep_power"): "power",
-    ("earth", "switch_energy"): "energy",
-    ("run", "alpha"): "dimensionless",
-    ("run", "n_cores_max"): "int",
-    ("run", "seed"): "int",
-    ("run", "arrivals"): "int",
-    ("run", "warmup_fraction"): "fraction",
-    ("run", "size_distribution"): "choice",
+# (section, key) -> (parse kind, field it sets). "int", "bool" and
+# "choice" are handled locally; every other kind goes through
+# parse_quantity. A section's fields are keyword arguments of the object
+# it builds; [run] fields are Settings fields. earth.enabled and
+# earth.switch_energy set no field, so build_settings reads them by name.
+_REGISTRY: dict[tuple[str, str], tuple[str, str | None]] = {
+    ("compute", "n_cores"): ("int", "n_cores"),
+    ("compute", "cpu_speed"): ("frequency", "cpu_speed"),
+    ("compute", "ref_speed"): ("frequency", "ref_speed"),
+    ("compute", "p_core_max"): ("power", "p_core_max_w"),
+    ("compute", "p_core_min"): ("power", "p_core_min_w"),
+    ("compute", "beta"): ("dimensionless", "beta"),
+    ("compute", "c0"): ("dimensionless", "c0"),
+    ("compute", "kappa"): ("dimensionless", "kappa"),
+    ("radio", "pa_efficiency"): ("fraction", "pa_efficiency"),
+    ("radio", "rf_power"): ("power", "p_rf_w"),
+    ("radio", "sleep_power"): ("power", "p_sleep_w"),
+    ("radio", "switch_energy"): ("energy", "switch_energy_j"),
+    ("link", "carrier_frequency"): ("frequency", "carrier_freq_hz"),
+    ("link", "cell_radius"): ("distance", "cell_radius_m"),
+    ("link", "noise_figure"): ("db", "noise_figure_db"),
+    ("link", "noise_density"): ("dbm_per_hz", "noise_density_dbm_hz"),
+    ("link", "bandwidth"): ("frequency", "bandwidth_hz"),
+    ("traffic", "arrival_rate"): ("arrival", "arrival_rate"),
+    ("traffic", "file_size"): ("datasize", "file_size_bits"),
+    ("earth", "enabled"): ("bool", None),
+    ("earth", "n_trx"): ("int", "n_trx"),
+    ("earth", "p0"): ("power", "p0_w"),
+    ("earth", "delta_p"): ("dimensionless", "delta_p"),
+    ("earth", "sleep_power"): ("power", "p_sleep_w"),
+    ("earth", "switch_energy"): ("energy", None),
+    ("run", "alpha"): ("dimensionless", "alpha"),
+    ("run", "n_cores_max"): ("int", "n_cores_max"),
+    ("run", "seed"): ("int", "seed"),
+    ("run", "arrivals"): ("int", "arrivals"),
+    ("run", "warmup_fraction"): ("fraction", "warmup_fraction"),
+    ("run", "size_distribution"): ("choice", "size_distribution"),
 }
 
 # Keys that may be absent; earth.switch_energy falls back to the radio
@@ -209,86 +212,53 @@ def render_config(text: ConfigText) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _get(text: ConfigText, section: str, key: str) -> str | None:
-    value = text.get(section, {}).get(key)
-    if value is None and (section, key) not in _OPTIONAL:
+def _value(text: ConfigText, section: str, key: str):
+    """One setting parsed by its kind; None for an absent optional key."""
+    raw = text.get(section, {}).get(key)
+    if raw is None:
+        if (section, key) in _OPTIONAL:
+            return None
         raise ConfigError(f"missing setting {section}.{key}")
-    return value
+    kind = _REGISTRY[(section, key)][0]
+    where = f"[{section}] {key}"
+    if kind == "bool":
+        word = raw.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ConfigError(f"{where}: expected true/false, got {word!r}")
+        return _BOOL_WORDS[word]
+    if kind == "choice":
+        choice = raw.strip()
+        if choice not in SIZE_DISTRIBUTIONS:
+            raise ConfigError(f"{where}: {choice!r} not in {SIZE_DISTRIBUTIONS}")
+        return choice
+    if kind == "int":
+        value = parse_quantity(raw, "count", where=where)
+        if value != int(value):
+            raise ConfigError(f"{where}: expected an integer, got {raw!r}")
+        return int(value)
+    return parse_quantity(raw, kind, where=where)
 
 
-def _quantity(text: ConfigText, section: str, key: str) -> float:
-    kind = _REGISTRY[(section, key)]
-    return parse_quantity(_get(text, section, key), kind, where=f"[{section}] {key}")
-
-
-def _integer(text: ConfigText, section: str, key: str) -> int:
-    raw = _get(text, section, key)
-    value = parse_quantity(raw, "count", where=f"[{section}] {key}")
-    if value != int(value):
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
-    return int(value)
-
-
-def _boolean(text: ConfigText, section: str, key: str) -> bool:
-    raw = _get(text, section, key).strip().lower()
-    if raw not in _BOOL_WORDS:
-        raise ConfigError(f"[{section}] {key}: expected true/false, got {raw!r}")
-    return _BOOL_WORDS[raw]
+def _fields(text: ConfigText, section: str) -> dict:
+    """The section's settings as keyword arguments, in table order."""
+    return {field: _value(text, sec, key)
+            for (sec, key), (_, field) in _REGISTRY.items()
+            if sec == section and field is not None}
 
 
 def build_settings(text: ConfigText) -> Settings:
     """Parse and assemble the text map into parameter objects."""
     try:
-        compute = ComputeParams(
-            n_cores=_integer(text, "compute", "n_cores"),
-            cpu_speed=_quantity(text, "compute", "cpu_speed"),
-            ref_speed=_quantity(text, "compute", "ref_speed"),
-            p_core_max_w=_quantity(text, "compute", "p_core_max"),
-            p_core_min_w=_quantity(text, "compute", "p_core_min"),
-            beta=_quantity(text, "compute", "beta"),
-            c0=_quantity(text, "compute", "c0"),
-            kappa=_quantity(text, "compute", "kappa"),
-        )
-        link = LinkBudget.from_db(
-            carrier_freq_hz=_quantity(text, "link", "carrier_frequency"),
-            cell_radius_m=_quantity(text, "link", "cell_radius"),
-            noise_figure_db=_quantity(text, "link", "noise_figure"),
-            noise_density_dbm_hz=_quantity(text, "link", "noise_density"),
-            bandwidth_hz=_quantity(text, "link", "bandwidth"),
-        )
+        compute = ComputeParams(**_fields(text, "compute"))
+        link = LinkBudget.from_db(**_fields(text, "link"))
         # The radio front end shares the link bandwidth by construction.
-        radio = RadioParams(
-            pa_efficiency=_quantity(text, "radio", "pa_efficiency"),
-            p_rf_w=_quantity(text, "radio", "rf_power"),
-            p_sleep_w=_quantity(text, "radio", "sleep_power"),
-            bandwidth_hz=link.bandwidth_hz,
-            switch_energy_j=_quantity(text, "radio", "switch_energy"),
-        )
-        traffic = TrafficParams(
-            arrival_rate=_quantity(text, "traffic", "arrival_rate"),
-            file_size_bits=_quantity(text, "traffic", "file_size"),
-        )
-        earth: EarthParams | None = None
-        if _boolean(text, "earth", "enabled"):
-            earth = EarthParams(
-                n_trx=_integer(text, "earth", "n_trx"),
-                p0_w=_quantity(text, "earth", "p0"),
-                delta_p=_quantity(text, "earth", "delta_p"),
-                p_sleep_w=_quantity(text, "earth", "sleep_power"),
-            )
-        if text.get("earth", {}).get("switch_energy") is not None:
-            earth_switch = _quantity(text, "earth", "switch_energy")
-        else:
+        radio = RadioParams(**_fields(text, "radio"), bandwidth_hz=link.bandwidth_hz)
+        traffic = TrafficParams(**_fields(text, "traffic"))
+        earth = (EarthParams(**_fields(text, "earth"))
+                 if _value(text, "earth", "enabled") else None)
+        earth_switch = _value(text, "earth", "switch_energy")
+        if earth_switch is None:
             earth_switch = radio.switch_energy_j
-
-        alpha = _quantity(text, "run", "alpha")
-        if alpha < 0:
-            raise ConfigError("[run] alpha: must be nonnegative")
-        size_dist = _get(text, "run", "size_distribution").strip()
-        if size_dist not in SIZE_DISTRIBUTIONS:
-            raise ConfigError(
-                f"[run] size_distribution: {size_dist!r} not in {SIZE_DISTRIBUTIONS}"
-            )
         settings = Settings(
             text=text,
             compute=compute,
@@ -297,15 +267,12 @@ def build_settings(text: ConfigText) -> Settings:
             traffic=traffic,
             earth=earth,
             earth_switch_energy_j=earth_switch,
-            alpha=alpha,
-            n_cores_max=_integer(text, "run", "n_cores_max"),
-            seed=_integer(text, "run", "seed"),
-            arrivals=_integer(text, "run", "arrivals"),
-            warmup_fraction=_quantity(text, "run", "warmup_fraction"),
-            size_distribution=size_dist,
+            **_fields(text, "run"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    if settings.alpha < 0:
+        raise ConfigError("[run] alpha: must be nonnegative")
     if settings.n_cores_max < 1:
         raise ConfigError("[run] n_cores_max: must be at least 1")
     if settings.seed < 0:

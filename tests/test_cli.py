@@ -1,7 +1,9 @@
 """Command line interface: subcommands, CSV output, and exit codes."""
 import contextlib
 import csv
+import hashlib
 import io
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,8 @@ REFUSED = [
       "--seed", "-1"), 2),
     (("optimize", "--output", "/nonexistent/x.csv"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
+      "--output", "/nonexistent/x.csv"), 2),
+    (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--trace", "/nonexistent/t.tsv"), 2),
     (("power", "--rate", "10 Mbps"), 3),
 ]
@@ -272,6 +276,49 @@ def test_refused_inputs_exit_with_one_error_line(capsys, argv, expected):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_refused_command_leaves_the_output_file_empty(capsys, tmp_path):
+    out_path = tmp_path / "result.csv"
+    code, out, _ = run_cli(capsys, "power", "--rate", "10 Mbps", "--output", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert out_path.read_text() == ""
+
+
+# sha256 of stdout for one argv per row shape: analytic points, flagged
+# and blank sweep rows, both compare policies, a simulated row and the
+# rendered configuration. Recorded before rows became plain tuples.
+STDOUT_SHA256 = [
+    (("power", "--rate", "50Mbps", "--cores", "2"),
+     "d78d294c5499dfa2b192a52dd84f3895802667f555d9ab427b796cfeb6eea148"),
+    (("optimize", "--cores", "2", "--alpha", "5"),
+     "9c19b82c3b4bbf95cad80731c843c6cb79101b70877a8326ada6dbd3e790be9b"),
+    (("optimize", "--cores-max", "8", "--lambda", "1.5/s", "--alpha", "2"),
+     "348b98396bb933f82a25556fbc92f9e7ab2f60c9723c527cc606dc65e744efde"),
+    (("sweep", "target_delay=1e-300:1:4"),
+     "616f1f902c4534f546777cbacbd1ea315db8c7dd5db78c3dbf327ac04338a1b9"),
+    (("sweep", "lambda=0.5:3:6", "--cores", "1"),
+     "5abda9bf6f868cd5f531d4e4e0e74ba283c7a14c852a67a17a5a081ba88241af"),
+    (("sweep", "n_cores=1:4:4", "--alpha", "2"),
+     "07babb36ffba2b7781ea26aaa3e94ed7d842f33ca81565d6c43c3b30e875f77d"),
+    (("compare", "--policy", "grid"),
+     "34aa769494715425e8ed3df081a237bd4e745e8cb31a496b91c23baacf054320"),
+    (("compare", "--policy", "cbs-optimal"),
+     "13c460ca24b7e14854eb74a49e64c3142871c4fcd94f76e815cb10511f4f5504"),
+    (("simulate", "--rate", "50Mbps", "--cores", "2", "--arrivals", "5000", "--seed", "7"),
+     "b43cc32c1d7ddf09d969e00babc6e49a164358a88f0714c61892f8d2636d58b7"),
+    (("config-show",),
+     "4850aecdbea36b6b351a1e998315baeb28ed85e874f7228f185b515a184296e6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_SHA256,
+                         ids=[" ".join(a) for a, _ in STDOUT_SHA256])
+def test_stdout_matches_the_recorded_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tiny_load_with_delay_penalty_brackets_the_root(capsys):
@@ -288,14 +335,16 @@ def test_sweep_flags_a_delay_no_finite_core_count_meets(capsys):
 
 
 # Edge values, plus a few in the model's domain so runs get past parsing.
+# Neither output path leaves a file behind.
+FUZZ_OUTPUTS = (os.devnull, "/nonexistent/x.csv")
 FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "1e400", "nan", "junk", "1", "2", "3e7")
 _TRAFFIC_FLAGS = ("--alpha", "--lambda", "--file-size")
 FUZZ_FLAGS = {
-    "power": ("--cores", *_TRAFFIC_FLAGS),
-    "optimize": ("--cores", "--cores-max", *_TRAFFIC_FLAGS),
-    "sweep": ("--cores", "--cores-max", *_TRAFFIC_FLAGS),
-    "compare": ("--policy", *_TRAFFIC_FLAGS),
-    "simulate": ("--cores", "--seed", *_TRAFFIC_FLAGS),
+    "power": ("--cores", "--output", *_TRAFFIC_FLAGS),
+    "optimize": ("--cores", "--cores-max", "--output", *_TRAFFIC_FLAGS),
+    "sweep": ("--cores", "--cores-max", "--output", *_TRAFFIC_FLAGS),
+    "compare": ("--policy", "--output", *_TRAFFIC_FLAGS),
+    "simulate": ("--cores", "--seed", "--output", *_TRAFFIC_FLAGS),
     "config-show": _TRAFFIC_FLAGS,
 }
 
@@ -317,7 +366,12 @@ def fuzz_argv(draw):
     if command == "optimize" and draw(st.booleans()):
         argv.append("--verbose")
     for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True)):
-        choices = ("grid", "cbs-optimal", *FUZZ_VALUES) if flag == "--policy" else FUZZ_VALUES
+        if flag == "--policy":
+            choices = ("grid", "cbs-optimal", *FUZZ_VALUES)
+        elif flag == "--output":
+            choices = FUZZ_OUTPUTS
+        else:
+            choices = FUZZ_VALUES
         argv += [flag, draw(st.sampled_from(choices))]
     return argv
 

@@ -2,6 +2,8 @@
 import pytest
 
 from vbsenergy.config import (
+    _OPTIONAL,
+    _REGISTRY,
     apply_override,
     build_settings,
     default_text,
@@ -10,6 +12,8 @@ from vbsenergy.config import (
     render_config,
 )
 from vbsenergy.errors import ConfigError
+from vbsenergy.optimize import Scenario
+from vbsenergy.power import EarthParams
 
 
 def test_defaults_build_the_reference_station():
@@ -34,6 +38,16 @@ def test_defaults_build_the_reference_station():
     assert s.size_distribution == "exponential"
     # the assembled scenario passes its own cross-checks
     assert s.scenario.link.channel_gain == s.link.channel_gain
+
+
+def test_every_key_sets_its_own_field():
+    # The defaults are the library's reference station, so a key mapped
+    # to the wrong field shows up as an unequal object.
+    s = build_settings(default_text())
+    assert s.scenario == Scenario()
+    assert s.earth == EarthParams()
+    keys = {(section, key) for section, items in default_text().items() for key in items}
+    assert set(_REGISTRY) == keys | _OPTIONAL
 
 
 def test_config_file_merging(tmp_path):
