@@ -16,7 +16,6 @@ from vbsenergy import (
     earth_energy_optimal_rate,
     earth_profile,
     joint_optimize,
-    power_savings,
     queue_metrics,
     scenario_profile,
 )
@@ -34,9 +33,9 @@ def main() -> None:
     )
     delay = queue_metrics(sc.traffic, r_cbs).mean_delay_s
     n = cores_needed(sc.compute, r_cbs)
-    p_vbs, p_cbs, saved = power_savings(
-        scenario_profile(sc, n), cbs, sc.traffic, r_cbs
-    )
+    p_vbs = average_power(scenario_profile(sc, n), sc.traffic, r_cbs)
+    p_cbs = average_power(cbs, sc.traffic, r_cbs)
+    saved = 1.0 - p_vbs / p_cbs
     print(f"baseline optimum: rate {r_cbs/1e6:.2f} Mbit/s, mean delay {delay:.3f} s")
     print(f"  baseline power {p_cbs:6.2f} W")
     print(f"  virtual station at the same point ({n} cores) {p_vbs:6.2f} W")

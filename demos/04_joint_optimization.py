@@ -11,11 +11,11 @@ from dataclasses import replace
 from vbsenergy import (
     Scenario,
     TrafficParams,
+    cost,
     evaluate_point,
     joint_optimize,
     scenario_profile,
     solve_optimal_rate,
-    system_cost,
 )
 
 
@@ -49,8 +49,8 @@ def main() -> None:
     # at any fixed service rate.
     rate = 30e6
     rho = sc.traffic.offered_load_bps / rate
-    z1 = system_cost(scenario_profile(sc, 1), sc.traffic, sc.alpha, rate)
-    z2 = system_cost(scenario_profile(sc, 2), sc.traffic, sc.alpha, rate)
+    z1 = cost(scenario_profile(sc, 1), sc.traffic, sc.alpha, rate).cost_z
+    z2 = cost(scenario_profile(sc, 2), sc.traffic, sc.alpha, rate).cost_z
     print(f"cost increment for the second core at 30 Mbit/s: {z2 - z1:.4f} W")
     print(f"occupancy x per-core static draw:                "
           f"{rho * sc.compute.p_core_min_w:.4f} W")

@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import Settings, apply_override, build_settings, read_config, render_config
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, refusal_status
 from .optimize import (
     JointResult,
     Scenario,
@@ -35,14 +35,12 @@ from .optimize import (
     earth_energy_optimal_rate,
     evaluate_point,
     joint_optimize,
-    power_savings,
     rate_for_delay,
     scenario_profile,
     tradeoff_curve,
 )
 from .power import earth_profile
-# Unused average_power stays importable: perfbench/tracer.py wraps it here.
-from .queueing import average_power, queue_metrics  # noqa: F401
+from .queueing import average_power, cost, queue_metrics
 from .results import write_rows
 from .simulate import SimConfig, validate_against_analytic
 from .units import parse_quantity
@@ -255,6 +253,10 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
     sc = settings.scenario
     base = _scenario_tag(settings)
     var, values = _parse_sweep_spec(args.spec)
+    if var == "n_cores":
+        for v in values:
+            if v != int(v) or v < 1:
+                raise ConfigError(f"n_cores sweep needs positive integers, got {v:g}")
     cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
     rows = []
 
@@ -266,8 +268,6 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
         for v in values:
             sc_v, cores, label = sc, args.cores, f"{v:.6g}"
             if var == "n_cores":
-                if v != int(v) or v < 1:
-                    raise ConfigError(f"n_cores sweep needs positive integers, got {v:g}")
                 cores = int(v)
                 label = str(cores)
             elif var == "alpha":
@@ -295,31 +295,31 @@ def cmd_compare(args, settings: Settings, fh) -> int:
     cbs = earth_profile(settings.earth, sc.link.channel_gain,
                         sc.link.bandwidth_hz, settings.earth_switch_energy_j)
 
-    def compare_at(rate: float):
-        n = cores_needed(sc.compute, rate)
-        return (n, *power_savings(scenario_profile(sc, n), cbs, t, rate))
-
     rows = []
     if args.policy == "cbs-optimal":
         rate = earth_energy_optimal_rate(
             settings.earth, sc.link.channel_gain, sc.link.bandwidth_hz,
             settings.earth_switch_energy_j, t)
-        delay = queue_metrics(t, rate).mean_delay_s
-        n, p_vbs, p_cbs, savings = compare_at(rate)
-        rows.append((f"{base}[cbs-optimal]", delay, rate, n,
-                     p_vbs, p_cbs, savings, "ok"))
+        n = cores_needed(sc.compute, rate)
+        p_vbs = average_power(scenario_profile(sc, n), t, rate)
+        p_cbs = average_power(cbs, t, rate)
+        rows.append((f"{base}[cbs-optimal]", queue_metrics(t, rate).mean_delay_s,
+                     rate, n, p_vbs, p_cbs, 1.0 - p_vbs / p_cbs, "ok"))
     else:
         delays = np.geomspace(_COMPARE_DELAY_MIN_S, _COMPARE_DELAY_MAX_S,
                               _COMPARE_DELAY_POINTS)
-        for d in (float(x) for x in delays):
+        rates = rate_for_delay(t, delays)
+        c = cost(cbs, t, 0.0, rates)
+        for cp, rate, code, p_cbs in zip(tradeoff_curve(sc, delays), rates.tolist(),
+                                         c.code.tolist(), c.power_w.tolist()):
+            d, vbs = cp.target_delay_s, cp.point
             sid = f"{base}[delay={d:.6g}]"
-            rate = rate_for_delay(t, d)
-            try:
-                n, p_vbs, p_cbs, savings = compare_at(rate)
-            except InfeasibleError as exc:
-                rows.append((sid, d, rate, None, None, None, None, exc.status))
-                continue
-            rows.append((sid, d, rate, n, p_vbs, p_cbs, savings, "ok"))
+            if vbs is None or code:
+                status = cp.status if vbs is None else refusal_status(code)
+                rows.append((sid, d, rate, None, None, None, None, status))
+            else:
+                rows.append((sid, d, rate, vbs.n_cores, vbs.avg_power_w, p_cbs,
+                             1.0 - vbs.avg_power_w / p_cbs, "ok"))
     write_rows(fh, rows, header=COMPARE_COLUMNS)
     return EXIT_OK
 

@@ -16,26 +16,36 @@ class VbsError(Exception):
 class InfeasibleError(VbsError):
     """The model refuses this operating point; ``status`` says why."""
     status: str
+    message: str
+
+    @classmethod
+    def at(cls, **fields) -> "InfeasibleError":
+        """The error with ``message`` filled in from the named fields."""
+        return cls(cls.message.format(**fields))
 
 
 class InfeasibleLoadError(InfeasibleError):
     """The requested rate needs more CPU than the configured cores provide."""
     status = "over-compute-cap"
+    message = "rate {rate:.6g} bit/s above the core capacity {capacity:.6g} bit/s"
 
 
 class PowerCapExceededError(InfeasibleError):
     """Transmit power above the amplifier cap."""
     status = "over-power-cap"
+    message = "transmit power {p_out:.6g} W above cap {cap:.6g} W"
 
 
 class LinkCapacityError(InfeasibleError, ValueError):
     """Rate beyond what the link budget can carry without overflow."""
     status = "over-link-cap"
+    message = "rate/bandwidth ratio above {max_exponent}; refusing to overflow"
 
 
 class UnstableQueueError(InfeasibleError):
     """Service rate at or below the offered load, so the queue diverges."""
     status = "unstable"
+    message = "rate must exceed the offered load {load:.6g} bit/s"
 
 
 class LambertDomainError(VbsError, ValueError):
@@ -66,3 +76,15 @@ class InfeasibleScenarioError(InfeasibleError):
 
 class ConfigError(VbsError):
     """Malformed configuration file or override value."""
+
+
+# The cost kernel's refusals, each with its ``message``, in the order they
+# take precedence: the kernel flags a refused rate with the index of the
+# first one that applies, and a served rate with 0.
+REFUSALS = (None, UnstableQueueError, LinkCapacityError, InfeasibleLoadError,
+            PowerCapExceededError)
+
+
+def refusal_status(code: int) -> str:
+    """CSV status of a refusal code; 0 is "ok"."""
+    return REFUSALS[code].status if code else "ok"

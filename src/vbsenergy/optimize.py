@@ -23,6 +23,10 @@ The joint search over core counts walks N_c upward: once the fixed-N_c
 minimizer is achievable within the core capacity, larger N_c only add
 idle-floor power, so the walk stops there and picks the cheapest
 candidate collected so far.
+
+Operating points are evaluated by the cost kernel queueing.cost:
+evaluate_point on one rate, raising its refusal, and tradeoff_curve once
+per core count, flagging refused points.
 """
 from __future__ import annotations
 
@@ -33,27 +37,28 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
     NoEnergyOptimumError,
     NoStationaryPointError,
     UnstableQueueError,
+    refusal_status,
 )
 from .lambertw import BRANCH_POINT_ARG, lambert_w0
-# Unused static_power and sleep_adjusted_power stay importable:
-# perfbench/tracer.py wraps them here.
+# Unused static_power, sleep_adjusted_power, average_power and
+# queue_metrics stay importable: perfbench/tracer.py wraps them here.
 from .power import (  # noqa: F401
     BusyPowerProfile,
     ComputeParams,
     EarthParams,
     RadioParams,
     earth_profile,
+    raise_refusal,
     sleep_adjusted_power,
     static_power,
     vbs_profile,
 )
-from .queueing import TrafficParams, average_power, queue_metrics
+from .queueing import TrafficParams, average_power, cost, queue_metrics  # noqa: F401
 from .radio import LN2, LinkBudget
 
 # Costs within this relative band are treated as ties; the smaller core
@@ -94,7 +99,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One evaluated operating point on the energy-delay tradeoff."""
+    """One evaluated operating point on the energy-delay tradeoff; the
+    fields after n_cores are those of queueing.Cost after code."""
 
     rate_bps: float
     n_cores: int
@@ -153,14 +159,20 @@ def max_supportable_rate(c: ComputeParams) -> float:
     return r_max
 
 
-def cores_needed(c: ComputeParams, rate_bps: float) -> int:
-    """Smallest core count whose capacity covers rate_bps."""
-    if rate_bps < 0:
+def cores_needed(c: ComputeParams, rate_bps):
+    """Smallest core count whose capacity covers rate_bps, as an int. An
+    array of rates gives a float array of counts, inf where no finite
+    count covers a rate; a single such rate raises InfeasibleLoadError."""
+    r = np.asarray(rate_bps, dtype=float)
+    if np.any(r < 0):
         raise ValueError("rate must be nonnegative")
-    need = (c.c0 + c.kappa * rate_bps) / c.cpu_speed
+    with np.errstate(over="ignore"):
+        need = np.maximum(1.0, np.ceil((c.c0 + c.kappa * r) / c.cpu_speed - 1e-12))
+    if r.ndim:
+        return need
     if not math.isfinite(need):
         raise InfeasibleLoadError(f"no finite core count decodes {rate_bps:.6g} bit/s")
-    return max(1, math.ceil(need - 1e-12))
+    return int(need)
 
 
 def scenario_profile(sc: Scenario, n_cores: int | None = None) -> BusyPowerProfile:
@@ -170,20 +182,14 @@ def scenario_profile(sc: Scenario, n_cores: int | None = None) -> BusyPowerProfi
 
 
 def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int | None = None) -> TradeoffPoint:
-    """Evaluate queueing metrics, power, and cost at one operating point."""
+    """Evaluate queueing metrics, power, and cost at one operating point,
+    raising the refusal the cost kernel flags there."""
     profile = scenario_profile(sc, n_cores)
-    qm = queue_metrics(sc.traffic, rate_bps)
-    power = average_power(profile, sc.traffic, rate_bps)
-    cost = power + sc.alpha * qm.mean_queue_len
-    return TradeoffPoint(
-        rate_bps=float(rate_bps),
-        n_cores=sc.compute.n_cores if n_cores is None else n_cores,
-        rho=qm.rho,
-        mean_queue_len=qm.mean_queue_len,
-        mean_delay_s=qm.mean_delay_s,
-        avg_power_w=power,
-        cost_z=cost,
-    )
+    c = cost(profile, sc.traffic, sc.alpha, rate_bps)
+    raise_refusal(c.code, rate_bps, profile, sc.traffic.offered_load_bps)
+    return TradeoffPoint(float(rate_bps),
+                         sc.compute.n_cores if n_cores is None else n_cores,
+                         *map(float, c[1:]))
 
 
 def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
@@ -197,9 +203,7 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     """
     load = t.offered_load_bps
     if rate_bps <= load:
-        raise UnstableQueueError(
-            f"rate must exceed the offered load {load:.6g} bit/s"
-        )
+        raise UnstableQueueError.at(load=load)
     g_eta = profile.gain * profile.pa_efficiency
     p_s = profile.sleep_adjusted_power(t.arrival_rate)
     w_arg = (
@@ -397,38 +401,36 @@ def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
     raise AssertionError("unreachable")
 
 
-def rate_for_delay(t: TrafficParams, target_delay_s: float) -> float:
-    """Service rate that yields the target mean delay."""
-    if target_delay_s <= 0:
+def rate_for_delay(t: TrafficParams, target_delay_s):
+    """Service rate that yields the target mean delay; scalar or array."""
+    if not np.all(np.asarray(target_delay_s) > 0):
         raise ValueError("target delay must be positive")
-    return t.offered_load_bps + t.file_size_bits / target_delay_s
+    with np.errstate(over="ignore"):  # a tiny delay needs an infinite rate
+        return t.offered_load_bps + t.file_size_bits / target_delay_s
 
 
 def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list[CurvePoint]:
     """Evaluate the scenario along a grid of target mean delays.
 
     n_cores fixes the core count; None picks the smallest sufficient
-    count per point. Infeasible points are flagged, not dropped.
+    count per point. The cost kernel runs once per core count. A delay
+    that is not positive is an invalid-delay point, and refused points
+    are flagged with their status, not dropped.
     """
-    points: list[CurvePoint] = []
-    for d in np.asarray(delay_grid, dtype=float):
-        d = float(d)
-        if d <= 0:
-            points.append(CurvePoint(d, "invalid-delay", None))
-            continue
-        r = rate_for_delay(sc.traffic, d)
-        try:
-            n = cores_needed(sc.compute, r) if n_cores is None else n_cores
-            points.append(CurvePoint(d, "ok", evaluate_point(sc, r, n)))
-        except InfeasibleError as exc:
-            points.append(CurvePoint(d, exc.status, None))
-    return points
-
-
-def power_savings(profile_a: BusyPowerProfile, profile_b: BusyPowerProfile,
-                  t: TrafficParams, rate_bps: float) -> tuple[float, float, float]:
-    """Average powers of two profiles at the same operating point and the
-    savings fraction of a relative to b."""
-    p_a = average_power(profile_a, t, rate_bps)
-    p_b = average_power(profile_b, t, rate_bps)
-    return p_a, p_b, 1.0 - p_a / p_b
+    delays = np.asarray(delay_grid, dtype=float)
+    valid = delays > 0
+    rates = rate_for_delay(sc.traffic, np.where(valid, delays, 1.0))
+    cores = (cores_needed(sc.compute, rates) if n_cores is None
+             else np.full(delays.shape, n_cores))
+    # Points that no finite core count decodes keep over-compute-cap.
+    status = [InfeasibleLoadError.status if v else "invalid-delay" for v in valid.tolist()]
+    points: list[TradeoffPoint | None] = [None] * delays.size
+    for n in np.unique(cores[valid & np.isfinite(cores)]).tolist():
+        at = np.flatnonzero(valid & (cores == n))
+        c = cost(scenario_profile(sc, int(n)), sc.traffic, sc.alpha, rates[at])
+        for i, rate, code, *fields in zip(at.tolist(), rates[at].tolist(),
+                                          *(f.tolist() for f in c)):
+            status[i] = refusal_status(code)
+            if not code:
+                points[i] = TradeoffPoint(rate, int(n), *fields)
+    return [CurvePoint(d, s, p) for d, s, p in zip(delays.tolist(), status, points)]

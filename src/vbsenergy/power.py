@@ -28,8 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLoadError, PowerCapExceededError
-from .radio import tx_power_for_rate
+from .errors import (
+    REFUSALS,
+    InfeasibleLoadError,
+    LinkCapacityError,
+    PowerCapExceededError,
+    UnstableQueueError,
+)
+from .radio import MAX_RATE_EXPONENT, tx_power_for_rate
 
 # Tolerance for the load <= 1 feasibility check, so a rate computed from
 # the exact capacity boundary does not trip on rounding.
@@ -148,9 +154,7 @@ def bbu_power(c: ComputeParams, rate_bps, check: bool = True):
 
 def _check_power_cap(p_out, cap_w: float) -> None:
     if np.any(p_out > cap_w):
-        raise PowerCapExceededError(
-            f"transmit power {np.max(p_out):.6g} W above cap {cap_w:.6g} W"
-        )
+        raise PowerCapExceededError.at(p_out=np.max(p_out), cap=cap_w)
 
 
 def rrh_power(rp: RadioParams, p_out_w):
@@ -234,20 +238,43 @@ class BusyPowerProfile:
 
     def busy_power(self, rate_bps):
         """Supply power while serving at rate_bps; scalar or array."""
-        # The link check in tx_power_for_rate runs first, then the core
-        # capacity, then the amplifier cap.
-        p_out = tx_power_for_rate(self.gain, self.bandwidth_hz, rate_bps)
         r = np.asarray(rate_bps, dtype=float)
-        if np.any(r > self.max_rate_bps):
-            raise InfeasibleLoadError(
-                f"rate {np.max(r):.6g} bit/s above the core capacity "
-                f"{self.max_rate_bps:.6g} bit/s"
-            )
-        _check_power_cap(p_out, self.p_out_max_w)
+        with np.errstate(all="ignore"):
+            code, p = self.coded_busy_power(r)
+        raise_refusal(code, r, self)
+        return float(p) if np.ndim(p) == 0 else p
+
+    def coded_busy_power(self, r, unstable=False):
+        """Busy power at each rate of the float array r, and the index in
+        errors.REFUSALS of the first refusal that applies there (0 if
+        none); unstable marks the rates the queue refuses. Call it under
+        np.errstate: a refused rate's power means nothing and may overflow."""
+        link = r / self.bandwidth_hz > MAX_RATE_EXPONENT
+        p_out = tx_power_for_rate(self.gain, self.bandwidth_hz,
+                                  np.where(unstable | link, 0.0, r))
+        cores, amp = r > self.max_rate_bps, p_out > self.p_out_max_w
+        code = np.zeros(np.shape(r), dtype=int)
+        if np.count_nonzero(unstable | link | cores | amp):
+            masks = {UnstableQueueError: unstable, LinkCapacityError: link,
+                     InfeasibleLoadError: cores, PowerCapExceededError: amp}
+            for k in range(len(REFUSALS) - 1, 0, -1):  # the first refusal wins
+                code = np.where(masks[REFUSALS[k]], k, code)
         # This grouping reproduces bbu_power + rrh_power bit for bit.
         p = ((self.base_w + self.rate_coeff * r * self.speed_factor)
              + (p_out / self.pa_efficiency + self.rf_w))
-        return float(p) if np.ndim(p) == 0 else p
+        return code, p
+
+
+def raise_refusal(code, rates, profile: BusyPowerProfile, load: float | None = None) -> None:
+    """Raise the error of the first refused rate, if any; load is the
+    offered load that an unstable rate's message names."""
+    if np.count_nonzero(code):
+        i = np.flatnonzero(code)[0]
+        rate, cls = float(np.ravel(rates)[i]), REFUSALS[np.ravel(code)[i]]
+        p_out = (tx_power_for_rate(profile.gain, profile.bandwidth_hz, rate)
+                 if cls is PowerCapExceededError else None)
+        raise cls.at(load=load, rate=rate, capacity=profile.max_rate_bps,
+                     max_exponent=MAX_RATE_EXPONENT, p_out=p_out, cap=profile.p_out_max_w)
 
 
 def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float) -> BusyPowerProfile:

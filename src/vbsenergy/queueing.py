@@ -12,16 +12,20 @@ adds the switching energy over the mean cycle length:
     E{P} = rho * P_busy(r) + (1 - rho) * P_sleep + 2 E_sw * lambda (1 - rho)
 
 The planning objective adds a delay penalty through the mean number of
-flows in the system: z = E{P} + alpha * E{n}.
+flows in the system: z = E{P} + alpha * E{n}. cost is the one kernel
+that evaluates it, on one rate or an array of rates, flagging each
+refused rate with a code instead of raising; average_power and
+optimize.evaluate_point are that kernel followed by raise_refusal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnstableQueueError
-from .power import BusyPowerProfile
+from .power import BusyPowerProfile, raise_refusal
 
 
 @dataclass(frozen=True)
@@ -55,19 +59,13 @@ class QueueMetrics:
     sleep_fraction: float
 
 
-def _check_stable(t: TrafficParams, rate_bps) -> None:
-    if np.any(np.asarray(rate_bps) <= t.offered_load_bps):
-        raise UnstableQueueError(
-            f"rate must exceed the offered load {t.offered_load_bps:.6g} bit/s"
-        )
-
-
 def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
     """Utilization, mean flows in system, mean delay, and mean cycle length.
 
     Accepts a scalar or an array rate; metrics broadcast accordingly.
     """
-    _check_stable(t, rate_bps)
+    if np.any(np.asarray(rate_bps) <= t.offered_load_bps):
+        raise UnstableQueueError.at(load=t.offered_load_bps)
     rho = t.offered_load_bps / rate_bps
     mean_n = rho / (1.0 - rho)
     mean_delay = mean_n / t.arrival_rate
@@ -82,29 +80,45 @@ def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
     )
 
 
-def average_power(profile: BusyPowerProfile, t: TrafficParams, rate_bps):
-    """Long-run average supply power at service rate rate_bps."""
-    _check_stable(t, rate_bps)
-    rho = t.offered_load_bps / rate_bps
-    p = (
-        rho * profile.busy_power(rate_bps)
-        + (1.0 - rho) * profile.sleep_power_w
-        + 2.0 * profile.switch_energy_j * t.arrival_rate * (1.0 - rho)
-    )
-    return float(p) if np.ndim(p) == 0 else p
+class Cost(NamedTuple):
+    """The cost kernel's result, one entry per rate. code is the index
+    of the rate's refusal in errors.REFUSALS, 0 when it is served; the
+    other fields of a refused rate mean nothing."""
+
+    code: np.ndarray
+    rho: np.ndarray
+    mean_queue_len: np.ndarray
+    mean_delay_s: np.ndarray
+    power_w: np.ndarray
+    cost_z: np.ndarray
 
 
-def system_cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rate_bps):
-    """Average power plus alpha times the mean number of flows in system.
+def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Cost:
+    """Average power plus alpha times the mean number of flows in system,
+    with its parts, at each of the rates (a scalar or an array).
 
-    alpha is watts per queued flow; alpha = 0 reduces to average_power.
-    Note that raising the core count at a fixed rate adds exactly
-    rho * P_core_min to the cost, the idle floor of the extra core
-    weighted by the time it is powered.
+    A rate is refused as unstable at or below the offered load, then
+    by the profile for the link, core and amplifier caps. alpha is watts
+    per queued flow; alpha = 0 gives z = E{P}. Raising the core count at
+    a fixed rate adds exactly rho * P_core_min to the cost, the idle
+    floor of the extra core weighted by the time it is powered.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    _check_stable(t, rate_bps)
-    rho = t.offered_load_bps / rate_bps
-    z = average_power(profile, t, rate_bps) + alpha * rho / (1.0 - rho)
-    return float(z) if np.ndim(z) == 0 else z
+    r = np.asarray(rates, dtype=float)
+    load = t.offered_load_bps
+    with np.errstate(all="ignore"):
+        code, p_busy = profile.coded_busy_power(r, r <= load)
+        rho = load / r
+        mean_n = rho / (1.0 - rho)
+        power = (rho * p_busy + (1.0 - rho) * profile.sleep_power_w
+                 + 2.0 * profile.switch_energy_j * t.arrival_rate * (1.0 - rho))
+        return Cost(code, rho, mean_n, mean_n / t.arrival_rate, power,
+                    power + alpha * mean_n)
+
+
+def average_power(profile: BusyPowerProfile, t: TrafficParams, rate_bps):
+    """Long-run average supply power at service rate rate_bps."""
+    c = cost(profile, t, 0.0, rate_bps)
+    raise_refusal(c.code, rate_bps, profile, t.offered_load_bps)
+    return float(c.power_w) if np.ndim(c.power_w) == 0 else c.power_w

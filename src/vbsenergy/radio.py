@@ -107,12 +107,11 @@ def shannon_rate(gain: float, bandwidth_hz: float, p_out_w):
 def tx_power_for_rate(gain: float, bandwidth_hz: float, rate_bps,
                       max_exponent: float = MAX_RATE_EXPONENT):
     """Transmit power needed for rate_bps; exact inverse of shannon_rate."""
-    if np.any(np.asarray(rate_bps) < 0):
+    r = np.asarray(rate_bps)
+    if np.count_nonzero(r < 0):
         raise ValueError("rate must be nonnegative")
-    exponent = np.asarray(rate_bps) / bandwidth_hz
-    if np.any(exponent > max_exponent):
-        raise LinkCapacityError(
-            f"rate/bandwidth ratio above {max_exponent}; refusing to overflow"
-        )
-    p = (np.exp2(rate_bps / bandwidth_hz) - 1.0) / gain
+    exponent = r / bandwidth_hz
+    if np.count_nonzero(exponent > max_exponent):
+        raise LinkCapacityError.at(max_exponent=max_exponent)
+    p = (np.exp2(exponent) - 1.0) / gain
     return float(p) if np.ndim(p) == 0 else p

@@ -74,10 +74,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.rate_bps <= self.traffic.offered_load_bps:
-            raise UnstableQueueError(
-                f"rate must exceed the offered load "
-                f"{self.traffic.offered_load_bps:.6g} bit/s"
-            )
+            raise UnstableQueueError.at(load=self.traffic.offered_load_bps)
         if self.size_distribution not in SIZE_DISTRIBUTIONS:
             raise ValueError(
                 f"size_distribution must be one of {SIZE_DISTRIBUTIONS}"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbsenergy import cli
 from vbsenergy.cli import SWEEP_VARS, main
 
 
@@ -118,6 +119,17 @@ def test_sweep_cores(capsys):
     # more cores never fall below the one-core optimum's power here
     powers = [float(r["avg_power_w"]) for r in rows]
     assert min(powers) == pytest.approx(powers[0], rel=1e-9)
+
+
+def test_sweep_checks_the_core_grid_before_solving(capsys, monkeypatch):
+    def solve(*args):
+        raise AssertionError("a point was solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "best_rate_for_cores", solve)
+    monkeypatch.setattr(cli, "joint_optimize", solve)
+    code, out, err = run_cli(capsys, "sweep", "n_cores=1:4:5")
+    assert code == 2
+    assert out == "" and "got 1.75" in err
 
 
 def test_sweep_lambda_joint(capsys):

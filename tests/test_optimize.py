@@ -1,4 +1,5 @@
 """Rate and core-count optimization."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,14 +26,13 @@ from vbsenergy.optimize import (
     joint_optimize,
     max_supportable_rate,
     optimality_gap,
-    power_savings,
     rate_for_delay,
     scenario_profile,
     solve_optimal_rate,
     tradeoff_curve,
 )
 from vbsenergy.power import ComputeParams, EarthParams, earth_profile
-from vbsenergy.queueing import TrafficParams, queue_metrics
+from vbsenergy.queueing import TrafficParams, average_power, queue_metrics
 
 # Hand-checked reference numbers for the default scenario:
 #   r_M(1) = 37142857.14285714,  r_M(2) = 94285714.28571428
@@ -61,6 +61,9 @@ def test_cores_needed():
         cores_needed(c, -1.0)
     with pytest.raises(InfeasibleLoadError):
         cores_needed(c, 1e308)  # no finite core count covers this load
+    # an array of rates gives one count per rate, inf where none is finite
+    counts = cores_needed(c, np.array([0.0, R_M1, R_M1 * 1.001, 1e308]))
+    assert counts.tolist() == [1.0, 1.0, 2.0, math.inf]
 
 
 def test_each_refusal_declares_its_own_status():
@@ -228,9 +231,9 @@ def test_power_savings_at_cbs_optimum():
     sc = Scenario()
     cbs = earth_profile(EarthParams(), sc.link.channel_gain, 20e6, 5.0)
     n = cores_needed(sc.compute, R_CBS)
-    p_vbs, p_cbs, savings = power_savings(
-        scenario_profile(sc, n), cbs, sc.traffic, R_CBS
-    )
+    p_vbs = average_power(scenario_profile(sc, n), sc.traffic, R_CBS)
+    p_cbs = average_power(cbs, sc.traffic, R_CBS)
+    savings = 1.0 - p_vbs / p_cbs
     assert p_vbs == pytest.approx(25.693352266699325, rel=1e-12)
     assert p_cbs == pytest.approx(72.08086962696049, rel=1e-12)
     assert savings == pytest.approx(0.6435482479655155, rel=1e-12)
@@ -251,6 +254,9 @@ def test_rate_for_delay():
     assert qm.mean_delay_s == pytest.approx(0.37, rel=1e-12)
     with pytest.raises(ValueError):
         rate_for_delay(t, 0.0)
+    with pytest.raises(ValueError):
+        rate_for_delay(t, math.nan)
+    assert rate_for_delay(t, np.array([1.0, 0.37]))[0] == rate_for_delay(t, 1.0)
 
 
 def test_tradeoff_curve_statuses():
@@ -265,6 +271,14 @@ def test_tradeoff_curve_statuses():
     auto = tradeoff_curve(sc, [0.1, 0.4, 1.0])
     assert all(p.status == "ok" for p in auto)
     assert auto[0].point.n_cores > 2
+
+
+@pytest.mark.parametrize("n_cores", [2, None])
+def test_tradeoff_curve_flags_every_delay_that_is_not_positive(n_cores):
+    delays = [math.nan, 0.0, -0.0, -1.0, -math.inf]
+    pts = tradeoff_curve(Scenario(), delays, n_cores=n_cores)
+    assert [p.status for p in pts] == ["invalid-delay"] * len(delays)
+    assert all(p.point is None for p in pts)
 
 
 def test_tradeoff_curve_flags_power_cap():

@@ -1,11 +1,17 @@
 """Stationary queue metrics and sleep-cycle average power."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbsenergy.errors import UnstableQueueError
+from vbsenergy.errors import REFUSALS, UnstableQueueError
+from vbsenergy.optimize import Scenario, evaluate_point, scenario_profile
 from vbsenergy.power import ComputeParams, EarthParams, RadioParams, earth_profile, vbs_profile
-from vbsenergy.queueing import TrafficParams, average_power, queue_metrics, system_cost
-from vbsenergy.radio import LinkBudget
+from vbsenergy.queueing import TrafficParams, average_power, cost, queue_metrics
+from vbsenergy.radio import MAX_RATE_EXPONENT, LinkBudget
 
 GAIN = LinkBudget().channel_gain
 RATE = 7.756e7  # reference operating point used throughout
@@ -63,13 +69,13 @@ def test_average_power_mixes_by_utilization():
 def test_system_cost():
     t = TrafficParams()
     prof = vbs_profile(ComputeParams(n_cores=2), RadioParams(), GAIN)
-    z = system_cost(prof, t, 10.0, RATE)
+    z = cost(prof, t, 10.0, RATE).cost_z
     assert z == pytest.approx(28.402274184059912, rel=1e-12)
-    assert system_cost(prof, t, 0.0, RATE) == pytest.approx(
+    assert cost(prof, t, 0.0, RATE).cost_z == pytest.approx(
         average_power(prof, t, RATE), rel=1e-15
     )
     with pytest.raises(ValueError):
-        system_cost(prof, t, -1.0, RATE)
+        cost(prof, t, -1.0, RATE)
 
 
 def test_switching_term_scales_with_arrival_rate():
@@ -94,3 +100,41 @@ def test_array_rates():
     assert np.all(np.diff(qm.mean_delay_s) < 0)  # faster service, less delay
     p = average_power(prof, t, rates)
     assert p.shape == rates.shape
+
+
+def _with_neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    alpha=st.floats(0.0, 100.0),
+    arrival_rate=st.floats(0.05, 5.0),
+    file_size=st.floats(1e5, 1e8),
+    p_out_max_w=st.one_of(st.just(math.inf), st.floats(0.1, 100.0)),
+    n_cores=st.integers(1, 8),
+    drawn=st.lists(st.floats(-1e9, 1e10), max_size=8),
+)
+def test_kernel_grid_equals_its_single_rate_calls(alpha, arrival_rate, file_size,
+                                                  p_out_max_w, n_cores, drawn):
+    sc = Scenario(radio=replace(RadioParams(), p_out_max_w=p_out_max_w),
+                  traffic=TrafficParams(arrival_rate, file_size), alpha=alpha)
+    prof = scenario_profile(sc, n_cores)
+    edges = (0.0, -1.0, sc.traffic.offered_load_bps,
+             MAX_RATE_EXPONENT * prof.bandwidth_hz, prof.max_rate_bps)
+    rates = np.array([r for x in edges for r in _with_neighbours(x)] + drawn
+                     + [math.nan, math.inf])
+    grid = cost(prof, sc.traffic, alpha, rates)
+    for i, r in enumerate(rates.tolist()):
+        one = cost(prof, sc.traffic, alpha, r)
+        assert int(one.code) == grid.code[i]
+        assert [float(f).hex() for f in one[1:]] == [float(f[i]).hex() for f in grid[1:]]
+    served = grid.code == 0
+    assert np.array_equal(grid.cost_z[served],
+                          grid.power_w[served] + alpha * grid.mean_queue_len[served],
+                          equal_nan=True)
+    for r, code in zip(rates.tolist(), grid.code.tolist()):
+        if code:
+            with pytest.raises(REFUSALS[code]) as info:
+                evaluate_point(sc, r, n_cores)
+            assert type(info.value) is REFUSALS[code]
