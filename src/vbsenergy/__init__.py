@@ -6,8 +6,10 @@ served rate, a processor-sharing queue with sleep cycles on top of it,
 and optimizers that pick the service rate and core count minimizing
 average power plus an optional delay penalty. An event-driven simulator
 cross-checks the stationary formulas, and a CLI wraps the common runs.
+
+The top level exports the names the README and the demos use, plus the
+exception classes; every other name lives in its submodule.
 """
-from .config import DEFAULT_CONFIG, Settings, build_settings, load_settings, read_config
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -21,15 +23,9 @@ from .errors import (
     UnstableQueueError,
     VbsError,
 )
-from .lambertw import lambert_w0
 from .optimize import (
-    CurvePoint,
-    ExistenceResult,
-    JointResult,
     Scenario,
-    TradeoffPoint,
     asymptotic_power,
-    best_rate_for_cores,
     cores_needed,
     earth_energy_optimal_rate,
     energy_optimal_exists,
@@ -37,8 +33,6 @@ from .optimize import (
     evaluate_point,
     joint_optimize,
     max_supportable_rate,
-    optimality_gap,
-    rate_for_delay,
     scenario_profile,
     solve_optimal_rate,
     tradeoff_curve,
@@ -50,98 +44,54 @@ from .power import (
     RadioParams,
     bbu_power,
     cpu_load,
-    delta_pb,
-    earth_busy_power,
     earth_profile,
     rrh_power,
-    sleep_adjusted_power,
     static_power,
     vbs_busy_power,
     vbs_profile,
 )
-from .queueing import QueueMetrics, TrafficParams, average_power, cost, queue_metrics
-from .radio import (
-    LinkBudget,
-    path_loss_db,
-    path_loss_linear,
-    shannon_rate,
-    tx_power_for_rate,
-)
-from .simulate import (
-    SIZE_DISTRIBUTIONS,
-    SimConfig,
-    SimStats,
-    ValidationReport,
-    validate_against_analytic,
-)
-from .units import BITS_PER_MB, db_to_linear, dbm_per_hz_to_w_per_hz, linear_to_db, parse_quantity
+from .queueing import TrafficParams, average_power, cost, queue_metrics
+from .radio import LinkBudget, tx_power_for_rate
+from .simulate import SimConfig, validate_against_analytic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BITS_PER_MB",
     "BusyPowerProfile",
     "ComputeParams",
     "ConfigError",
     "ConvergenceError",
-    "CurvePoint",
-    "DEFAULT_CONFIG",
     "EarthParams",
-    "ExistenceResult",
     "InfeasibleLoadError",
     "InfeasibleScenarioError",
-    "JointResult",
     "LambertDomainError",
     "LinkCapacityError",
     "LinkBudget",
     "NoEnergyOptimumError",
     "NoStationaryPointError",
     "PowerCapExceededError",
-    "QueueMetrics",
     "RadioParams",
-    "SIZE_DISTRIBUTIONS",
     "Scenario",
-    "Settings",
     "SimConfig",
-    "SimStats",
-    "TradeoffPoint",
     "TrafficParams",
     "UnstableQueueError",
-    "ValidationReport",
     "VbsError",
     "asymptotic_power",
     "average_power",
     "bbu_power",
-    "best_rate_for_cores",
-    "build_settings",
     "cores_needed",
     "cost",
     "cpu_load",
-    "db_to_linear",
-    "dbm_per_hz_to_w_per_hz",
-    "delta_pb",
-    "earth_busy_power",
     "earth_energy_optimal_rate",
     "earth_profile",
     "energy_optimal_exists",
     "energy_optimal_rate",
     "evaluate_point",
     "joint_optimize",
-    "lambert_w0",
-    "linear_to_db",
-    "load_settings",
     "max_supportable_rate",
-    "optimality_gap",
-    "parse_quantity",
-    "path_loss_db",
-    "path_loss_linear",
     "queue_metrics",
-    "rate_for_delay",
-    "read_config",
     "rrh_power",
     "scenario_profile",
-    "shannon_rate",
-    "sleep_adjusted_power",
     "solve_optimal_rate",
     "static_power",
     "tradeoff_curve",

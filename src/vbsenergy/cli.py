@@ -173,10 +173,15 @@ def _settings(args) -> Settings:
     return build_settings(text)
 
 
-def _scenario_tag(settings: Settings) -> str:
-    t = settings.traffic
+def _scenario_tag(sc: Scenario) -> str:
+    t = sc.traffic
     return (f"lam{t.arrival_rate:.6g}-size{t.file_size_bits:.6g}"
-            f"-alpha{settings.alpha:.6g}")
+            f"-alpha{sc.alpha:.6g}")
+
+
+def _cores(args, sc: Scenario) -> int:
+    """--cores, or the configured [compute] n_cores."""
+    return sc.compute.n_cores if args.cores is None else args.cores
 
 
 def _out(path: str | None):
@@ -194,9 +199,10 @@ def _row(sid: str, command: str, p: TradeoffPoint | None, status: str = "ok",
 
 
 def cmd_power(args, settings: Settings, fh) -> int:
+    sc = settings.scenario
     rate = parse_quantity(args.rate, "bitrate", where="--rate")
-    point = evaluate_point(settings.scenario, rate, args.cores)
-    write_rows(fh, [_row(_scenario_tag(settings), "power", point)])
+    point = evaluate_point(sc, rate, _cores(args, sc))
+    write_rows(fh, [_row(_scenario_tag(sc), "power", point)])
     return EXIT_OK
 
 
@@ -216,7 +222,7 @@ def cmd_optimize(args, settings: Settings, fh) -> int:
             print(f"candidate: n_cores={c.n_cores} rate={c.rate_bps:.6g} "
                   f"power={c.avg_power_w:.6g} cost={c.cost_z:.6g}",
                   file=sys.stderr)
-    write_rows(fh, [_row(_scenario_tag(settings), "optimize", result.point)])
+    write_rows(fh, [_row(_scenario_tag(settings.scenario), "optimize", result.point)])
     return EXIT_OK
 
 
@@ -251,7 +257,7 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
 
 def cmd_sweep(args, settings: Settings, fh) -> int:
     sc = settings.scenario
-    base = _scenario_tag(settings)
+    base = _scenario_tag(sc)
     var, values = _parse_sweep_spec(args.spec)
     if var == "n_cores":
         for v in values:
@@ -291,7 +297,7 @@ def cmd_compare(args, settings: Settings, fh) -> int:
                           "set enabled = true to compare")
     sc = settings.scenario
     t = sc.traffic
-    base = _scenario_tag(settings)
+    base = _scenario_tag(sc)
     cbs = earth_profile(settings.earth, sc.link.channel_gain,
                         sc.link.bandwidth_hz, settings.earth_switch_energy_j)
 
@@ -327,7 +333,7 @@ def cmd_compare(args, settings: Settings, fh) -> int:
 def cmd_simulate(args, settings: Settings, fh) -> int:
     sc = settings.scenario
     rate = parse_quantity(args.rate, "bitrate", where="--rate")
-    n = args.cores if args.cores is not None else sc.compute.n_cores
+    n = _cores(args, sc)
     profile = scenario_profile(sc, n)
     cfg = SimConfig(
         traffic=sc.traffic,
@@ -350,7 +356,7 @@ def cmd_simulate(args, settings: Settings, fh) -> int:
     print(f"completed {stats.completed_flows} flows over {stats.window_s:.6g} s, "
           f"{stats.cycles_observed} sleep cycles", file=sys.stderr)
 
-    row = (_scenario_tag(settings), "simulate", rate, n, stats.busy_fraction,
+    row = (_scenario_tag(sc), "simulate", rate, n, stats.busy_fraction,
            stats.mean_queue_len, stats.mean_delay_s, stats.mean_power_w,
            stats.mean_power_w + sc.alpha * stats.mean_queue_len, "simulated",
            settings.seed, "ok" if report.ok else "validation-failed")

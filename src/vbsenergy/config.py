@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ConfigError
 from .optimize import Scenario
@@ -73,8 +72,9 @@ size_distribution = exponential
 # (section, key) -> (parse kind, field it sets). "int", "bool" and
 # "choice" are handled locally; every other kind goes through
 # parse_quantity. A section's fields are keyword arguments of the object
-# it builds; [run] fields are Settings fields. earth.enabled and
-# earth.switch_energy set no field, so build_settings reads them by name.
+# it builds; [run] alpha is a Scenario field and the other [run] fields
+# are Settings fields. earth.enabled and earth.switch_energy set no
+# field, so build_settings reads them by name.
 _REGISTRY: dict[tuple[str, str], tuple[str, str | None]] = {
     ("compute", "n_cores"): ("int", "n_cores"),
     ("compute", "cpu_speed"): ("frequency", "cpu_speed"),
@@ -126,28 +126,14 @@ class Settings:
     """Parsed configuration: raw text plus built parameter objects."""
 
     text: ConfigText
-    compute: ComputeParams
-    radio: RadioParams
-    link: LinkBudget
-    traffic: TrafficParams
+    scenario: Scenario
     earth: EarthParams | None
     earth_switch_energy_j: float
-    alpha: float
     n_cores_max: int
     seed: int
     arrivals: int
     warmup_fraction: float
     size_distribution: str
-
-    @property
-    def scenario(self) -> Scenario:
-        return Scenario(
-            compute=self.compute,
-            radio=self.radio,
-            link=self.link,
-            traffic=self.traffic,
-            alpha=self.alpha,
-        )
 
 
 def _parse_ini(content: str, origin: str) -> ConfigText:
@@ -259,31 +245,21 @@ def build_settings(text: ConfigText) -> Settings:
         earth_switch = _value(text, "earth", "switch_energy")
         if earth_switch is None:
             earth_switch = radio.switch_energy_j
+        run = _fields(text, "run")
+        alpha = run.pop("alpha")
+        if alpha < 0:
+            raise ConfigError("[run] alpha: must be nonnegative")
         settings = Settings(
             text=text,
-            compute=compute,
-            radio=radio,
-            link=link,
-            traffic=traffic,
+            scenario=Scenario(compute, radio, link, traffic, alpha),
             earth=earth,
             earth_switch_energy_j=earth_switch,
-            **_fields(text, "run"),
+            **run,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    if settings.alpha < 0:
-        raise ConfigError("[run] alpha: must be nonnegative")
     if settings.n_cores_max < 1:
         raise ConfigError("[run] n_cores_max: must be at least 1")
     if settings.seed < 0:
         raise ConfigError("[run] seed: must be nonnegative")
     return settings
-
-
-def load_settings(path: str | None = None,
-                  overrides: Iterable[tuple[str, str, str]] = ()) -> Settings:
-    """One-call loader: defaults, optional file, then overrides."""
-    text = read_config(path)
-    for section, key, value in overrides:
-        apply_override(text, section, key, value)
-    return build_settings(text)

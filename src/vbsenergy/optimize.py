@@ -93,9 +93,6 @@ class Scenario:
                 "radio and link bandwidth disagree; build both from one value"
             )
 
-    def with_cores(self, n_cores: int) -> "Scenario":
-        return replace(self, compute=replace(self.compute, n_cores=n_cores))
-
 
 @dataclass(frozen=True)
 class TradeoffPoint:
@@ -175,21 +172,18 @@ def cores_needed(c: ComputeParams, rate_bps):
     return int(need)
 
 
-def scenario_profile(sc: Scenario, n_cores: int | None = None) -> BusyPowerProfile:
+def scenario_profile(sc: Scenario, n_cores: int) -> BusyPowerProfile:
     """VBS busy-power profile for the scenario at the given core count."""
-    c = sc.compute if n_cores is None else replace(sc.compute, n_cores=n_cores)
-    return vbs_profile(c, sc.radio, sc.link.channel_gain)
+    return vbs_profile(replace(sc.compute, n_cores=n_cores), sc.radio, sc.link.channel_gain)
 
 
-def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int | None = None) -> TradeoffPoint:
+def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int) -> TradeoffPoint:
     """Evaluate queueing metrics, power, and cost at one operating point,
     raising the refusal the cost kernel flags there."""
     profile = scenario_profile(sc, n_cores)
     c = cost(profile, sc.traffic, sc.alpha, rate_bps)
     raise_refusal(c.code, rate_bps, profile, sc.traffic.offered_load_bps)
-    return TradeoffPoint(float(rate_bps),
-                         sc.compute.n_cores if n_cores is None else n_cores,
-                         *map(float, c[1:]))
+    return TradeoffPoint(float(rate_bps), n_cores, *map(float, c[1:]))
 
 
 def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
@@ -202,7 +196,7 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     stationary point lies at or beyond rate_bps.
     """
     load = t.offered_load_bps
-    if rate_bps <= load:
+    if not rate_bps > load:
         raise UnstableQueueError.at(load=load)
     g_eta = profile.gain * profile.pa_efficiency
     p_s = profile.sleep_adjusted_power(t.arrival_rate)
@@ -254,7 +248,7 @@ def _optimal_rate(profile: BusyPowerProfile, t: TrafficParams) -> float:
     return r_e
 
 
-def energy_optimal_exists(sc: Scenario, n_cores: int | None = None) -> ExistenceResult:
+def energy_optimal_exists(sc: Scenario, n_cores: int) -> ExistenceResult:
     """Check the two conditions for a finite-delay power minimum.
 
     First the arrival rate must keep the sleep-adjusted static power
@@ -264,7 +258,7 @@ def energy_optimal_exists(sc: Scenario, n_cores: int | None = None) -> Existence
     return _closed_form(scenario_profile(sc, n_cores), sc.traffic)[0]
 
 
-def energy_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:
+def energy_optimal_rate(sc: Scenario, n_cores: int) -> float:
     """Closed-form rate minimizing average power for a fixed core count.
 
     Independent of kappa and of alpha. Raises NoEnergyOptimumError when
@@ -280,7 +274,7 @@ def earth_energy_optimal_rate(e: EarthParams, gain: float, bandwidth_hz: float,
     return _optimal_rate(earth_profile(e, gain, bandwidth_hz, switch_energy_j), t)
 
 
-def asymptotic_power(sc: Scenario, n_cores: int | None = None) -> float:
+def asymptotic_power(sc: Scenario, n_cores: int) -> float:
     """Average power in the infinite-delay limit r -> offered load.
 
     The utilization tends to 1, so sleep and switching vanish and only
@@ -291,7 +285,7 @@ def asymptotic_power(sc: Scenario, n_cores: int | None = None) -> float:
     return scenario_profile(sc, n_cores).busy_power(sc.traffic.offered_load_bps)
 
 
-def solve_optimal_rate(sc: Scenario, n_cores: int | None = None) -> float:
+def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     """Rate minimizing z(r) for a fixed core count, ignoring core capacity.
 
     At alpha = 0 this is exactly the closed form; otherwise the unique
@@ -345,7 +339,7 @@ def _rate_for_cores(sc: Scenario, n_cores: int) -> tuple[float, bool]:
     clamped it: the interior optimum when it fits, else the capacity.
     Raises InfeasibleLoadError or InfeasibleScenarioError when the cores
     cannot reach a stable rate."""
-    r_cap = max_supportable_rate(sc.with_cores(n_cores).compute)
+    r_cap = max_supportable_rate(replace(sc.compute, n_cores=n_cores))
     if r_cap <= sc.traffic.offered_load_bps * (1.0 + STABILITY_MARGIN):
         raise InfeasibleScenarioError(
             f"{n_cores} core(s) cannot reach a stable rate for this load"

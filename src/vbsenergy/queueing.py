@@ -55,8 +55,6 @@ class QueueMetrics:
     mean_queue_len: float
     mean_delay_s: float
     mean_cycle_s: float
-    active_fraction: float
-    sleep_fraction: float
 
 
 def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
@@ -64,7 +62,7 @@ def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
 
     Accepts a scalar or an array rate; metrics broadcast accordingly.
     """
-    if np.any(np.asarray(rate_bps) <= t.offered_load_bps):
+    if not np.all(np.asarray(rate_bps) > t.offered_load_bps):
         raise UnstableQueueError.at(load=t.offered_load_bps)
     rho = t.offered_load_bps / rate_bps
     mean_n = rho / (1.0 - rho)
@@ -75,8 +73,6 @@ def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
         mean_queue_len=mean_n,
         mean_delay_s=mean_delay,
         mean_cycle_s=mean_cycle,
-        active_fraction=rho,
-        sleep_fraction=1.0 - rho,
     )
 
 
@@ -97,8 +93,9 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Co
     """Average power plus alpha times the mean number of flows in system,
     with its parts, at each of the rates (a scalar or an array).
 
-    A rate is refused as unstable at or below the offered load, then
-    by the profile for the link, core and amplifier caps. alpha is watts
+    A rate is refused as unstable unless it exceeds the offered load (so
+    NaN is refused), then by the profile for the link, core and amplifier
+    caps. alpha is watts
     per queued flow; alpha = 0 gives z = E{P}. Raising the core count at
     a fixed rate adds exactly rho * P_core_min to the cost, the idle
     floor of the extra core weighted by the time it is powered.
@@ -108,7 +105,7 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Co
     r = np.asarray(rates, dtype=float)
     load = t.offered_load_bps
     with np.errstate(all="ignore"):
-        code, p_busy = profile.coded_busy_power(r, r <= load)
+        code, p_busy = profile.coded_busy_power(r, ~(r > load))
         rho = load / r
         mean_n = rho / (1.0 - rho)
         power = (rho * p_busy + (1.0 - rho) * profile.sleep_power_w

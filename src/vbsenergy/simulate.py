@@ -50,6 +50,10 @@ SIZE_DISTRIBUTIONS = ("exponential", "deterministic", "bounded-pareto")
 _PARETO_SHAPE = 1.5
 _PARETO_SPAN = 1e3
 
+# Batch count and the confidence level of the SimStats halfwidths.
+N_BATCHES = 20
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -68,12 +72,10 @@ class SimConfig:
     n_arrivals: int = 100_000
     warmup_fraction: float = 0.1
     seed: int = 12345
-    n_batches: int = 20
-    confidence: float = 0.95
     trace_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= self.traffic.offered_load_bps:
+        if not self.rate_bps > self.traffic.offered_load_bps:
             raise UnstableQueueError.at(load=self.traffic.offered_load_bps)
         if self.size_distribution not in SIZE_DISTRIBUTIONS:
             raise ValueError(
@@ -83,15 +85,11 @@ class SimConfig:
             raise ValueError("need at least 1000 arrivals for stable statistics")
         if not 0.0 <= self.warmup_fraction <= 0.5:
             raise ValueError("warmup_fraction must lie in [0, 0.5]")
-        if self.n_batches < 2:
-            raise ValueError("need at least 2 batches")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class SimStats:
-    """Point estimates with confidence halfwidths at the configured level.
+    """Point estimates with confidence halfwidths at the CONFIDENCE level.
 
     batch_means keeps the per-batch values so intervals can be re-derived
     at another confidence level without re-running.
@@ -256,7 +254,7 @@ def simulate(cfg: SimConfig) -> SimStats:
     n = np.frombuffer(log_n, dtype=np.int64)
     t_prev, t_ev, n_prev, n_ev = t[:-1], t[1:], n[:-1], n[1:]
     window = now - t_warm
-    edges = np.linspace(t_warm, now, cfg.n_batches + 1)
+    edges = np.linspace(t_warm, now, N_BATCHES + 1)
     dur_b = np.diff(edges)
 
     # Post-warmup segments: (max(t_prev, t_warm), t, n_prev) where t
@@ -295,19 +293,19 @@ def simulate(cfg: SimConfig) -> SimStats:
 
     return SimStats(
         mean_queue_len=float(np.sum(area_b)) / window,
-        queue_len_halfwidth=halfwidth(qlen_b, cfg.confidence),
+        queue_len_halfwidth=halfwidth(qlen_b, CONFIDENCE),
         mean_delay_s=float(np.mean(delay_v)) if delay_v.size else math.nan,
-        delay_halfwidth_s=halfwidth(delay_b, cfg.confidence),
+        delay_halfwidth_s=halfwidth(delay_b, CONFIDENCE),
         mean_power_w=total_energy / window,
-        power_halfwidth_w=halfwidth(power_b, cfg.confidence),
+        power_halfwidth_w=halfwidth(power_b, CONFIDENCE),
         busy_fraction=total_busy / window,
-        busy_fraction_halfwidth=halfwidth(busyfrac_b, cfg.confidence),
+        busy_fraction_halfwidth=halfwidth(busyfrac_b, CONFIDENCE),
         mean_cycle_s=float(np.mean(cycle_v)) if cycle_v.size else math.nan,
-        cycle_halfwidth_s=halfwidth(cycle_b, cfg.confidence),
+        cycle_halfwidth_s=halfwidth(cycle_b, CONFIDENCE),
         cycles_observed=int(cycle_v.size),
         completed_flows=int(delay_v.size),
         window_s=window,
-        confidence=cfg.confidence,
+        confidence=CONFIDENCE,
         batch_means=batches,
     )
 

@@ -21,12 +21,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    if value <= 0:
-        raise ValueError("dB conversion needs a positive linear value")
-    return 10.0 * math.log10(value)
-
-
 def dbm_per_hz_to_w_per_hz(value_dbm_hz: float) -> float:
     """Convert a spectral density from dBm/Hz to W/Hz."""
     return 10.0 ** ((value_dbm_hz - 30.0) / 10.0)

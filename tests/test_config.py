@@ -7,7 +7,6 @@ from vbsenergy.config import (
     apply_override,
     build_settings,
     default_text,
-    load_settings,
     read_config,
     render_config,
 )
@@ -18,26 +17,24 @@ from vbsenergy.power import EarthParams
 
 def test_defaults_build_the_reference_station():
     s = build_settings(default_text())
-    assert s.compute.n_cores == 1
-    assert s.compute.cpu_speed == 2e9
-    assert s.compute.p_core_max_w == 20.0
-    assert s.compute.c0 == 7e8
-    assert s.compute.kappa == 35.0
-    assert s.radio.pa_efficiency == pytest.approx(0.311, rel=1e-15)
-    assert s.radio.p_sleep_w == 6.45
-    assert s.radio.switch_energy_j == 5.0
-    assert s.radio.bandwidth_hz == 20e6
-    assert s.link.bandwidth_hz == 20e6
-    assert s.link.channel_gain == pytest.approx(3.3177433551574707, rel=1e-12)
-    assert s.traffic.arrival_rate == 1.0
-    assert s.traffic.file_size_bits == 1.6e7
+    assert s.scenario.compute.n_cores == 1
+    assert s.scenario.compute.cpu_speed == 2e9
+    assert s.scenario.compute.p_core_max_w == 20.0
+    assert s.scenario.compute.c0 == 7e8
+    assert s.scenario.compute.kappa == 35.0
+    assert s.scenario.radio.pa_efficiency == pytest.approx(0.311, rel=1e-15)
+    assert s.scenario.radio.p_sleep_w == 6.45
+    assert s.scenario.radio.switch_energy_j == 5.0
+    assert s.scenario.radio.bandwidth_hz == 20e6
+    assert s.scenario.link.bandwidth_hz == 20e6
+    assert s.scenario.link.channel_gain == pytest.approx(3.3177433551574707, rel=1e-12)
+    assert s.scenario.traffic.arrival_rate == 1.0
+    assert s.scenario.traffic.file_size_bits == 1.6e7
     assert s.earth is not None and s.earth.p0_w == 84.0
     assert s.earth_switch_energy_j == 5.0  # inherits the radio value
-    assert s.alpha == 0.0
+    assert s.scenario.alpha == 0.0
     assert s.n_cores_max == 8
     assert s.size_distribution == "exponential"
-    # the assembled scenario passes its own cross-checks
-    assert s.scenario.link.channel_gain == s.link.channel_gain
 
 
 def test_every_key_sets_its_own_field():
@@ -54,19 +51,19 @@ def test_config_file_merging(tmp_path):
     path = tmp_path / "station.ini"
     path.write_text("[traffic]\narrival_rate = 0.5 /s\n\n[earth]\nswitch_energy = 2 J\n")
     s = build_settings(read_config(str(path)))
-    assert s.traffic.arrival_rate == 0.5
+    assert s.scenario.traffic.arrival_rate == 0.5
     assert s.earth_switch_energy_j == 2.0
-    assert s.radio.switch_energy_j == 5.0  # unchanged
+    assert s.scenario.radio.switch_energy_j == 5.0  # unchanged
 
 
 def test_env_var_config(tmp_path, monkeypatch):
     path = tmp_path / "env.ini"
     path.write_text("[compute]\nn_cores = 3\n")
     monkeypatch.setenv("VBSENERGY_CONFIG", str(path))
-    s = load_settings()
-    assert s.compute.n_cores == 3
+    s = build_settings(read_config())
+    assert s.scenario.compute.n_cores == 3
     monkeypatch.delenv("VBSENERGY_CONFIG")
-    assert load_settings().compute.n_cores == 1
+    assert build_settings(read_config()).scenario.compute.n_cores == 1
 
 
 def test_unknown_sections_and_keys(tmp_path):
@@ -142,10 +139,13 @@ def test_render_round_trips_verbatim():
     from vbsenergy.config import _parse_ini
 
     again = build_settings(_parse_ini(rendered, "<rendered>"))
-    assert again.traffic.arrival_rate == 1.5
+    assert again.scenario.traffic.arrival_rate == 1.5
 
 
 def test_overrides_through_loader(tmp_path):
-    s = load_settings(None, [("run", "alpha", "10"), ("traffic", "file_size", "4 MB")])
-    assert s.alpha == 10.0
-    assert s.traffic.file_size_bits == 3.2e7
+    text = read_config(None)
+    apply_override(text, "run", "alpha", "10")
+    apply_override(text, "traffic", "file_size", "4 MB")
+    s = build_settings(text)
+    assert s.scenario.alpha == 10.0
+    assert s.scenario.traffic.file_size_bits == 3.2e7

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vbsenergy.errors import (
     InfeasibleError,
@@ -11,6 +13,7 @@ from vbsenergy.errors import (
     InfeasibleScenarioError,
     LinkCapacityError,
     NoEnergyOptimumError,
+    NoStationaryPointError,
     PowerCapExceededError,
     UnstableQueueError,
 )
@@ -31,7 +34,7 @@ from vbsenergy.optimize import (
     solve_optimal_rate,
     tradeoff_curve,
 )
-from vbsenergy.power import ComputeParams, EarthParams, earth_profile
+from vbsenergy.power import ComputeParams, EarthParams, RadioParams, earth_profile
 from vbsenergy.queueing import TrafficParams, average_power, queue_metrics
 
 # Hand-checked reference numbers for the default scenario:
@@ -136,8 +139,9 @@ def test_optimality_gap_sign_change():
     assert optimality_gap(prof, t, sc.alpha, R_E2 * 0.9) > 0
     assert optimality_gap(prof, t, sc.alpha, R_E2 * 1.1) < 0
     assert abs(optimality_gap(prof, t, sc.alpha, R_E2)) < 1e-9
-    with pytest.raises(UnstableQueueError):
-        optimality_gap(prof, t, sc.alpha, 1.6e7)
+    for rate in (1.6e7, math.nan):
+        with pytest.raises(UnstableQueueError):
+            optimality_gap(prof, t, sc.alpha, rate)
 
 
 def test_solve_matches_closed_form_at_zero_alpha():
@@ -296,8 +300,6 @@ def test_scenario_validation():
     bad_radio = replace(Scenario().radio, bandwidth_hz=10e6)
     with pytest.raises(ValueError):
         Scenario(radio=bad_radio, link=link)
-    sc2 = Scenario().with_cores(4)
-    assert sc2.compute.n_cores == 4
 
 
 def test_evaluate_point_consistency():
@@ -306,3 +308,70 @@ def test_evaluate_point_consistency():
     assert pt.cost_z == pytest.approx(28.402274184059912, rel=1e-12)
     assert pt.avg_power_w == pytest.approx(25.80318386567135, rel=1e-12)
     assert pt.rho == pytest.approx(1.6e7 / 7.756e7, rel=1e-15)
+
+
+# Property tests of the claims the optimize and queueing docstrings make,
+# over scenarios drawn around the reference station. Both existence
+# conditions fail on part of this range.
+PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, database=None,
+                             deadline=None)
+
+
+@st.composite
+def scenarios(draw, alpha=st.floats(0.0, 100.0)):
+    compute = ComputeParams(p_core_min_w=draw(st.floats(0.0, 19.0)),
+                            kappa=draw(st.floats(1.0, 100.0)))
+    radio = RadioParams(switch_energy_j=draw(st.floats(0.0, 30.0)))
+    traffic = TrafficParams(draw(st.floats(0.05, 3.0)), draw(st.floats(1e5, 1e8)))
+    return Scenario(compute=compute, radio=radio, traffic=traffic, alpha=draw(alpha))
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios(), n_cores=st.integers(1, 8), kappa=st.floats(1.0, 100.0),
+       alpha=st.floats(0.0, 100.0))
+def test_energy_optimum_depends_on_neither_kappa_nor_alpha(sc, n_cores, kappa, alpha):
+    other = replace(sc, compute=replace(sc.compute, kappa=kappa), alpha=alpha)
+    res = energy_optimal_exists(sc, n_cores)
+    assert energy_optimal_exists(other, n_cores) == res
+    if res:
+        assert energy_optimal_rate(other, n_cores) == energy_optimal_rate(sc, n_cores)
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios(), n_cores=st.integers(1, 7), position=st.floats(1e-6, 1.0))
+def test_one_more_core_adds_its_idle_floor_weighted_by_rho(sc, n_cores, position):
+    # Rates up to the core capacity, and at most 10 bit/s/Hz so that the
+    # amplifier term keeps the cost, and so its rounding, moderate.
+    load = sc.traffic.offered_load_bps
+    r_hi = min(max_supportable_rate(replace(sc.compute, n_cores=n_cores)),
+               10.0 * sc.link.bandwidth_hz)
+    assume(r_hi > load)
+    rate = load + position * (r_hi - load)
+    z_n = evaluate_point(sc, rate, n_cores).cost_z
+    z_n1 = evaluate_point(sc, rate, n_cores + 1).cost_z
+    rho = load / rate
+    assert abs(z_n1 - z_n - rho * sc.compute.p_core_min_w) <= 1e-12 * z_n1
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios(alpha=st.floats(0.01, 100.0)), n_cores=st.integers(1, 8))
+def test_gap_changes_sign_across_the_solved_rate(sc, n_cores):
+    try:
+        r_star = solve_optimal_rate(sc, n_cores)
+    except NoStationaryPointError:
+        assume(False)
+    prof = scenario_profile(sc, n_cores)
+    assert optimality_gap(prof, sc.traffic, sc.alpha, r_star * (1 - 1e-10)) > 0
+    assert optimality_gap(prof, sc.traffic, sc.alpha, r_star * (1 + 1e-10)) < 0
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios(), n_cores=st.integers(1, 8))
+def test_existence_holds_exactly_when_the_closed_form_returns(sc, n_cores):
+    res = energy_optimal_exists(sc, n_cores)
+    try:
+        energy_optimal_rate(sc, n_cores)
+    except NoEnergyOptimumError as exc:
+        assert not res.exists and res.reason == exc.reason
+    else:
+        assert res.exists and res.reason is None

@@ -35,16 +35,19 @@ def test_queue_metrics_reference_point():
     # with unit arrival rate the mean queue length equals the mean delay
     assert qm.mean_queue_len == pytest.approx(qm.mean_delay_s, rel=1e-15)
     assert qm.mean_cycle_s == pytest.approx(1.0 / (1.0 - qm.rho), rel=1e-14)
-    assert qm.active_fraction == qm.rho
-    assert qm.sleep_fraction == pytest.approx(1.0 - qm.rho, rel=1e-15)
 
 
 def test_stability_guard():
     t = TrafficParams()
-    with pytest.raises(UnstableQueueError):
-        queue_metrics(t, 1.6e7)
-    with pytest.raises(UnstableQueueError):
-        queue_metrics(t, 1.5e7)
+    prof = vbs_profile(ComputeParams(n_cores=2), RadioParams(), GAIN)
+    for rate in (1.6e7, 1.5e7, math.nan):
+        with pytest.raises(UnstableQueueError):
+            queue_metrics(t, rate)
+        with pytest.raises(UnstableQueueError):
+            average_power(prof, t, rate)
+        with pytest.raises(UnstableQueueError):
+            evaluate_point(Scenario(), rate, 2)
+        assert cost(prof, t, 0.0, rate).code == REFUSALS.index(UnstableQueueError)
     queue_metrics(t, 1.6e7 * (1.0 + 1e-9))  # just above is fine
 
 

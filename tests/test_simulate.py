@@ -13,6 +13,7 @@ from vbsenergy.power import BusyPowerProfile, ComputeParams, RadioParams, vbs_pr
 from vbsenergy.queueing import TrafficParams
 from vbsenergy.radio import LinkBudget
 from vbsenergy.simulate import (
+    SIZE_DISTRIBUTIONS,
     SimConfig,
     _draw_sizes,
     simulate,
@@ -35,16 +36,15 @@ def make_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(UnstableQueueError):
-        make_config(rate_bps=1.6e7)
+    for rate in (1.6e7, math.nan):
+        with pytest.raises(UnstableQueueError):
+            make_config(rate_bps=rate)
     with pytest.raises(ValueError):
         make_config(size_distribution="uniform")
     with pytest.raises(ValueError):
         make_config(n_arrivals=10)
     with pytest.raises(ValueError):
         make_config(warmup_fraction=0.6)
-    with pytest.raises(ValueError):
-        make_config(n_batches=1)
 
 
 def test_reproducible_runs():
@@ -178,9 +178,9 @@ def test_littles_law_holds():
 
 
 def test_batch_means_shape():
-    st = simulate(make_config(n_batches=10))
-    assert len(st.batch_means["power"]) == 10
-    assert len(st.batch_means["queue_len"]) == 10
+    st = simulate(make_config())
+    assert len(st.batch_means["power"]) == 20
+    assert len(st.batch_means["queue_len"]) == 20
     assert st.mean_power_w == pytest.approx(np.mean(st.batch_means["power"]), rel=0.05)
 
 
@@ -233,6 +233,40 @@ def test_trace_output(tmp_path):
     n_arr = sum(1 for line in lines[1:] if "\tarrive\t" in line)
     n_dep = sum(1 for line in lines[1:] if "\tdepart\t" in line)
     assert n_arr == n_dep == 1000
+
+
+def _lindley_emptying_times(arrivals, work_s):
+    """When a work-conserving server with these arrival instants and
+    service times empties. The workload just before arrival k is
+    P_k - min(P_0..P_k), where P_k sums the service times minus the gaps
+    before arrival k (Lindley's recursion); the server empties after
+    arrival k when that workload plus its own work runs out before the
+    next arrival."""
+    p = np.concatenate(([0.0], np.cumsum(work_s[:-1] - np.diff(arrivals))))
+    done = arrivals + p - np.minimum.accumulate(p) + work_s
+    return done[np.append(done[:-1] <= arrivals[1:], True)]
+
+
+@pytest.mark.parametrize("law", SIZE_DISTRIBUTIONS)
+@pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+def test_emptying_instants_match_a_lindley_recursion(tmp_path, law, rho):
+    # Processor sharing is work-conserving, so the busy periods do not
+    # depend on the service order: the trace's queue_len == 0 rows must
+    # be a FIFO server's emptying instants on the same draws, up to the
+    # trace's printed resolution of 1e-9 s.
+    t, n, seed = TrafficParams(), 20000, 7
+    rate = t.offered_load_bps / rho
+    path = tmp_path / "trace.tsv"
+    simulate(make_config(rate_bps=rate, size_distribution=law, n_arrivals=n, seed=seed,
+                         trace_path=str(path)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    arrivals = np.cumsum(rng.exponential(1.0 / t.arrival_rate, size=n))
+    sizes = _draw_sizes(rng, law, t.file_size_bits, n)
+    expect = _lindley_emptying_times(arrivals, sizes / rate)
+    rows = (line.split("\t") for line in path.read_text().splitlines()[1:])
+    got = np.array([float(r[0]) for r in rows if r[2] == "0"])
+    assert got.size == expect.size
+    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9)
 
 
 def test_processor_sharing_slows_concurrent_flows():
