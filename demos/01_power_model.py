@@ -15,9 +15,8 @@ from vbsenergy import (
     cpu_load,
     max_supportable_rate,
     rrh_power,
-    static_power,
     tx_power_for_rate,
-    vbs_busy_power,
+    vbs_profile,
 )
 
 
@@ -42,8 +41,9 @@ def main() -> None:
     # Each core adds capacity ... and its own idle floor.
     for n in (1, 2, 3, 4):
         c = ComputeParams(n_cores=n)
+        profile = vbs_profile(c, radio, link.channel_gain)
         print(f"{n} core(s): capacity {max_supportable_rate(c)/1e6:8.2f} Mbit/s, "
-              f"static draw {static_power(c, radio):6.2f} W")
+              f"static draw {profile.static_power_w:6.2f} W")
     print()
 
     # The radio head converts transmit power through the amplifier
@@ -59,7 +59,7 @@ def main() -> None:
     c2 = ComputeParams(n_cores=2)
     r = 7.756e7
     print(f"busy power at {r/1e6:.2f} Mbit/s on 2 cores: "
-          f"{vbs_busy_power(c2, radio, link.channel_gain, r):.3f} W")
+          f"{vbs_profile(c2, radio, link.channel_gain).busy_power(r):.3f} W")
 
 
 if __name__ == "__main__":

@@ -46,8 +46,6 @@ from .power import (
     cpu_load,
     earth_profile,
     rrh_power,
-    static_power,
-    vbs_busy_power,
     vbs_profile,
 )
 from .queueing import TrafficParams, average_power, cost, queue_metrics
@@ -93,10 +91,8 @@ __all__ = [
     "rrh_power",
     "scenario_profile",
     "solve_optimal_rate",
-    "static_power",
     "tradeoff_curve",
     "tx_power_for_rate",
     "validate_against_analytic",
-    "vbs_busy_power",
     "vbs_profile",
 ]

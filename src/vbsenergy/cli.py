@@ -80,11 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_traffic_flags(sp):
-        sp.add_argument("--alpha", metavar="A",
+        sp.add_argument("--alpha", dest="run.alpha", metavar="A",
                         help="delay penalty weight, W per queued flow")
-        sp.add_argument("--lambda", dest="arrival_rate", metavar="RATE",
+        sp.add_argument("--lambda", dest="traffic.arrival_rate", metavar="RATE",
                         help="flow arrival rate, e.g. '1.5 /s'")
-        sp.add_argument("--file-size", metavar="SIZE",
+        sp.add_argument("--file-size", dest="traffic.file_size", metavar="SIZE",
                         help="mean flow size, e.g. '2 MB' (1 MB = 8e6 bits)")
 
     def add_output_flag(sp):
@@ -139,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="service rate, e.g. '50 Mbps'")
     sp.add_argument("--cores", type=int, metavar="N",
                     help="core count (default: configured n_cores)")
-    sp.add_argument("--seed", metavar="SEED", help="random seed")
-    sp.add_argument("--arrivals", metavar="N", help="number of flows to draw")
+    sp.add_argument("--seed", dest="run.seed", metavar="SEED", help="random seed")
+    sp.add_argument("--arrivals", dest="run.arrivals", metavar="N",
+                    help="number of flows to draw")
     sp.add_argument("--trace", metavar="FILE",
                     help="write a per-event trace here")
     add_traffic_flags(sp)
@@ -154,22 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# (argparse dest, section, key) of each flag that overrides a setting.
-_OVERRIDES = (
-    ("alpha", "run", "alpha"),
-    ("arrival_rate", "traffic", "arrival_rate"),
-    ("file_size", "traffic", "file_size"),
-    ("seed", "run", "seed"),
-    ("arrivals", "run", "arrivals"),
-)
-
-
 def _settings(args) -> Settings:
+    """The configuration with each flag whose dest is a "section.key"
+    setting applied over it."""
     text = read_config(args.config)
-    for attr, section, key in _OVERRIDES:
-        value = getattr(args, attr, None)
-        if value is not None:
-            apply_override(text, section, key, value)
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            apply_override(text, *dest.split("."), value)
     return build_settings(text)
 
 

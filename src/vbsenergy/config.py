@@ -21,97 +21,51 @@ from .units import parse_quantity
 
 ENV_CONFIG = "VBSENERGY_CONFIG"
 
-DEFAULT_CONFIG = """\
-# Virtual base station model settings. Units may be written with
-# suffixes (GHz, W, J, km, MB, dB, %); bare numbers are SI base units
-# (Hz, W, J, m, s, bits). File sizes are decimal: 1 MB = 8e6 bits.
-
-[compute]
-n_cores = 1
-cpu_speed = 2 GHz
-ref_speed = 2 GHz
-p_core_max = 20 W
-p_core_min = 5 W
-beta = 2
-c0 = 7e8
-kappa = 35
-
-[radio]
-pa_efficiency = 31.1 %
-rf_power = 12.9 W
-sleep_power = 6.45 W
-switch_energy = 5 J
-
-[link]
-carrier_frequency = 2 GHz
-cell_radius = 0.5 km
-noise_figure = 9 dB
-noise_density = -174 dBm/Hz
-bandwidth = 20 MHz
-
-[traffic]
-arrival_rate = 1 /s
-file_size = 2 MB
-
-[earth]
-enabled = true
-n_trx = 1
-p0 = 84 W
-delta_p = 2.8
-sleep_power = 56 W
-
-[run]
-alpha = 0
-n_cores_max = 8
-seed = 12345
-arrivals = 100000
-warmup_fraction = 0.1
-size_distribution = exponential
-"""
-
-# (section, key) -> (parse kind, field it sets). "int", "bool" and
-# "choice" are handled locally; every other kind goes through
-# parse_quantity. A section's fields are keyword arguments of the object
-# it builds; [run] alpha is a Scenario field and the other [run] fields
-# are Settings fields. earth.enabled and earth.switch_energy set no
-# field, so build_settings reads them by name.
-_REGISTRY: dict[tuple[str, str], tuple[str, str | None]] = {
-    ("compute", "n_cores"): ("int", "n_cores"),
-    ("compute", "cpu_speed"): ("frequency", "cpu_speed"),
-    ("compute", "ref_speed"): ("frequency", "ref_speed"),
-    ("compute", "p_core_max"): ("power", "p_core_max_w"),
-    ("compute", "p_core_min"): ("power", "p_core_min_w"),
-    ("compute", "beta"): ("dimensionless", "beta"),
-    ("compute", "c0"): ("dimensionless", "c0"),
-    ("compute", "kappa"): ("dimensionless", "kappa"),
-    ("radio", "pa_efficiency"): ("fraction", "pa_efficiency"),
-    ("radio", "rf_power"): ("power", "p_rf_w"),
-    ("radio", "sleep_power"): ("power", "p_sleep_w"),
-    ("radio", "switch_energy"): ("energy", "switch_energy_j"),
-    ("link", "carrier_frequency"): ("frequency", "carrier_freq_hz"),
-    ("link", "cell_radius"): ("distance", "cell_radius_m"),
-    ("link", "noise_figure"): ("db", "noise_figure_db"),
-    ("link", "noise_density"): ("dbm_per_hz", "noise_density_dbm_hz"),
-    ("link", "bandwidth"): ("frequency", "bandwidth_hz"),
-    ("traffic", "arrival_rate"): ("arrival", "arrival_rate"),
-    ("traffic", "file_size"): ("datasize", "file_size_bits"),
-    ("earth", "enabled"): ("bool", None),
-    ("earth", "n_trx"): ("int", "n_trx"),
-    ("earth", "p0"): ("power", "p0_w"),
-    ("earth", "delta_p"): ("dimensionless", "delta_p"),
-    ("earth", "sleep_power"): ("power", "p_sleep_w"),
-    ("earth", "switch_energy"): ("energy", None),
-    ("run", "alpha"): ("dimensionless", "alpha"),
-    ("run", "n_cores_max"): ("int", "n_cores_max"),
-    ("run", "seed"): ("int", "seed"),
-    ("run", "arrivals"): ("int", "arrivals"),
-    ("run", "warmup_fraction"): ("fraction", "warmup_fraction"),
-    ("run", "size_distribution"): ("choice", "size_distribution"),
+# (section, key) -> (parse kind, field it sets, default text). This
+# table is the only declaration of a setting: default_text() lists the
+# defaults in table order, and a key whose default is None may be absent.
+# Units may be written with suffixes (GHz, W, J, km, MB, dB, %); bare
+# numbers are SI base units (Hz, W, J, m, s, bits), and file sizes are
+# decimal: 1 MB = 8e6 bits. "int", "bool" and "choice" are handled
+# locally; every other kind goes through parse_quantity. A section's
+# fields are keyword arguments of the object it builds; [run] alpha is a
+# Scenario field and the other [run] fields are Settings fields.
+# earth.enabled and earth.switch_energy set no field, so build_settings
+# reads them by name; an absent earth.switch_energy falls back to the
+# radio switch energy so both baselines pay the same wake cost.
+_REGISTRY: dict[tuple[str, str], tuple[str, str | None, str | None]] = {
+    ("compute", "n_cores"): ("int", "n_cores", "1"),
+    ("compute", "cpu_speed"): ("frequency", "cpu_speed", "2 GHz"),
+    ("compute", "ref_speed"): ("frequency", "ref_speed", "2 GHz"),
+    ("compute", "p_core_max"): ("power", "p_core_max_w", "20 W"),
+    ("compute", "p_core_min"): ("power", "p_core_min_w", "5 W"),
+    ("compute", "beta"): ("dimensionless", "beta", "2"),
+    ("compute", "c0"): ("dimensionless", "c0", "7e8"),
+    ("compute", "kappa"): ("dimensionless", "kappa", "35"),
+    ("radio", "pa_efficiency"): ("fraction", "pa_efficiency", "31.1 %"),
+    ("radio", "rf_power"): ("power", "p_rf_w", "12.9 W"),
+    ("radio", "sleep_power"): ("power", "p_sleep_w", "6.45 W"),
+    ("radio", "switch_energy"): ("energy", "switch_energy_j", "5 J"),
+    ("link", "carrier_frequency"): ("frequency", "carrier_freq_hz", "2 GHz"),
+    ("link", "cell_radius"): ("distance", "cell_radius_m", "0.5 km"),
+    ("link", "noise_figure"): ("db", "noise_figure_db", "9 dB"),
+    ("link", "noise_density"): ("dbm_per_hz", "noise_density_dbm_hz", "-174 dBm/Hz"),
+    ("link", "bandwidth"): ("frequency", "bandwidth_hz", "20 MHz"),
+    ("traffic", "arrival_rate"): ("arrival", "arrival_rate", "1 /s"),
+    ("traffic", "file_size"): ("datasize", "file_size_bits", "2 MB"),
+    ("earth", "enabled"): ("bool", None, "true"),
+    ("earth", "n_trx"): ("int", "n_trx", "1"),
+    ("earth", "p0"): ("power", "p0_w", "84 W"),
+    ("earth", "delta_p"): ("dimensionless", "delta_p", "2.8"),
+    ("earth", "sleep_power"): ("power", "p_sleep_w", "56 W"),
+    ("earth", "switch_energy"): ("energy", None, None),
+    ("run", "alpha"): ("dimensionless", "alpha", "0"),
+    ("run", "n_cores_max"): ("int", "n_cores_max", "8"),
+    ("run", "seed"): ("int", "seed", "12345"),
+    ("run", "arrivals"): ("int", "arrivals", "100000"),
+    ("run", "warmup_fraction"): ("fraction", "warmup_fraction", "0.1"),
+    ("run", "size_distribution"): ("choice", "size_distribution", "exponential"),
 }
-
-# Keys that may be absent; earth.switch_energy falls back to the radio
-# switch energy so both baselines pay the same wake cost by default.
-_OPTIONAL = {("earth", "switch_energy")}
 
 _BOOL_WORDS = {
     "true": True, "yes": True, "1": True, "on": True,
@@ -149,7 +103,13 @@ def _parse_ini(content: str, origin: str) -> ConfigText:
 
 
 def default_text() -> ConfigText:
-    return _parse_ini(DEFAULT_CONFIG, "<defaults>")
+    """The registry's defaults, sections and keys in table order."""
+    text: ConfigText = {}
+    for (section, key), (_, _, default) in _REGISTRY.items():
+        items = text.setdefault(section, {})
+        if default is not None:
+            items[key] = default
+    return text
 
 
 def read_config(path: str | None = None) -> ConfigText:
@@ -201,11 +161,11 @@ def render_config(text: ConfigText) -> str:
 def _value(text: ConfigText, section: str, key: str):
     """One setting parsed by its kind; None for an absent optional key."""
     raw = text.get(section, {}).get(key)
+    kind, _, default = _REGISTRY[(section, key)]
     if raw is None:
-        if (section, key) in _OPTIONAL:
+        if default is None:
             return None
         raise ConfigError(f"missing setting {section}.{key}")
-    kind = _REGISTRY[(section, key)][0]
     where = f"[{section}] {key}"
     if kind == "bool":
         word = raw.strip().lower()
@@ -228,7 +188,7 @@ def _value(text: ConfigText, section: str, key: str):
 def _fields(text: ConfigText, section: str) -> dict:
     """The section's settings as keyword arguments, in table order."""
     return {field: _value(text, sec, key)
-            for (sec, key), (_, field) in _REGISTRY.items()
+            for (sec, key), (_, field, _) in _REGISTRY.items()
             if sec == section and field is not None}
 
 

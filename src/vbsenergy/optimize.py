@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
     NoEnergyOptimumError,
@@ -86,7 +87,7 @@ class Scenario:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
         if self.radio.bandwidth_hz != self.link.bandwidth_hz:
             raise ValueError(
@@ -364,21 +365,37 @@ def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
 def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
     """Jointly pick service rate and core count.
 
-    Walks N_c = 1 .. n_cores_max. While the fixed-N_c minimizer exceeds
-    the core capacity, the capacity point is kept as a candidate and the
-    walk continues; once the minimizer becomes achievable it is added
-    and the walk stops, because further cores only add idle-floor power.
-    Ties within 1e-9 relative cost go to the smaller core count.
+    Walks N_c up to n_cores_max, from floor((c0 + kappa * load) / s):
+    every smaller count falls short of the load by s / kappa or more.
+    While the fixed-N_c minimizer exceeds the core capacity, the
+    capacity point is kept as a candidate and the walk continues; once
+    the minimizer becomes achievable it is added and the walk stops,
+    because further cores only add idle-floor power. Candidate rates
+    rise with N_c, so the first one the link or amplifier cap refuses
+    also ends the walk; that refusal is raised only when no candidate
+    came before it. The walk also stops where one more core adds no
+    capacity in floats. Ties within 1e-9 relative cost go to the
+    smaller core count.
     """
     if n_cores_max < 1:
         raise ValueError("n_cores_max must be at least 1")
+    s = sc.compute.cpu_speed
+    need = (sc.compute.c0 + sc.compute.kappa * sc.traffic.offered_load_bps) / s
     candidates: list[TradeoffPoint] = []
-    for n in range(1, n_cores_max + 1):
+    # min() keeps an overflowing need out of math.floor; the walk is then empty.
+    for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
+        if n * s == (n - 1) * s:
+            break
         try:
             rate, clamped = _rate_for_cores(sc, n)
         except (InfeasibleLoadError, InfeasibleScenarioError):
             continue  # no stable rate on n cores
-        candidates.append(evaluate_point(sc, rate, n))
+        try:
+            candidates.append(evaluate_point(sc, rate, n))
+        except InfeasibleError:
+            if not candidates:
+                raise
+            break
         if not clamped:
             break
 

@@ -59,16 +59,23 @@ class ComputeParams:
     def __post_init__(self) -> None:
         if self.n_cores < 1 or self.n_cores != int(self.n_cores):
             raise ValueError("n_cores must be a positive integer")
-        if self.cpu_speed <= 0 or self.ref_speed <= 0:
+        if not (self.cpu_speed > 0 and self.ref_speed > 0):
             raise ValueError("core speeds must be positive")
         if not self.p_core_max_w > self.p_core_min_w >= 0:
             raise ValueError("need p_core_max_w > p_core_min_w >= 0")
-        if self.beta < 1:
+        if not self.beta >= 1:
             raise ValueError("beta must be >= 1")
-        if self.c0 < 0:
+        if not self.c0 >= 0:
             raise ValueError("c0 must be nonnegative")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        try:
+            scales = (self.ref_speed ** self.beta, self.cpu_speed ** (self.beta - 1.0))
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(0.0 < x < math.inf for x in scales):
+            raise ValueError("core speeds and beta must keep ref_speed**beta and "
+                             "cpu_speed**(beta-1) positive and finite")
 
 
 @dataclass(frozen=True)
@@ -87,13 +94,13 @@ class RadioParams:
     def __post_init__(self) -> None:
         if not 0 < self.pa_efficiency <= 1:
             raise ValueError("pa_efficiency must be in (0, 1]")
-        if self.p_rf_w < 0 or self.p_sleep_w < 0:
+        if not (self.p_rf_w >= 0 and self.p_sleep_w >= 0):
             raise ValueError("powers must be nonnegative")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth must be positive")
-        if self.switch_energy_j < 0:
+        if not self.switch_energy_j >= 0:
             raise ValueError("switch energy must be nonnegative")
-        if self.p_out_max_w <= 0:
+        if not self.p_out_max_w > 0:
             raise ValueError("p_out_max_w must be positive")
 
 
@@ -111,11 +118,11 @@ class EarthParams:
     def __post_init__(self) -> None:
         if self.n_trx < 1 or self.n_trx != int(self.n_trx):
             raise ValueError("n_trx must be a positive integer")
-        if self.delta_p <= 0:
+        if not self.delta_p > 0:
             raise ValueError("delta_p must be positive")
         if not self.p0_w > self.p_sleep_w >= 0:
             raise ValueError("need p0_w > p_sleep_w >= 0")
-        if self.p_out_max_w <= 0:
+        if not self.p_out_max_w > 0:
             raise ValueError("p_out_max_w must be positive")
 
 
@@ -222,7 +229,7 @@ class BusyPowerProfile:
     p_out_max_w: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.sleep_power_w < 0 or self.switch_energy_j < 0:
+        if not (self.sleep_power_w >= 0 and self.switch_energy_j >= 0):
             raise ValueError("sleep power and switch energy must be nonnegative")
 
     @property

@@ -36,9 +36,9 @@ class TrafficParams:
     file_size_bits: float = 1.6e7
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
+        if not self.arrival_rate > 0:
             raise ValueError("arrival rate must be positive")
-        if self.file_size_bits <= 0:
+        if not self.file_size_bits > 0:
             raise ValueError("file size must be positive")
 
     @property
@@ -100,7 +100,7 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Co
     a fixed rate adds exactly rho * P_core_min to the cost, the idle
     floor of the extra core weighted by the time it is powered.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")
     r = np.asarray(rates, dtype=float)
     load = t.offered_load_bps

@@ -33,9 +33,9 @@ def path_loss_db(distance_m: float, carrier_freq_hz: float = _REF_CARRIER_HZ) ->
     Other carriers shift the intercept by 20 log10(f / 2 GHz), the
     free-space frequency scaling.
     """
-    if distance_m <= 0:
+    if not distance_m > 0:
         raise ValueError("distance must be positive")
-    if carrier_freq_hz <= 0:
+    if not carrier_freq_hz > 0:
         raise ValueError("carrier frequency must be positive")
     loss = 128.1 + 37.6 * math.log10(distance_m / 1000.0)
     if carrier_freq_hz != _REF_CARRIER_HZ:
@@ -65,16 +65,21 @@ class LinkBudget:
     channel_gain: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.cell_radius_m <= 0:
+        if not self.cell_radius_m > 0:
             raise ValueError("cell radius must be positive")
-        if self.noise_figure < 1.0:
+        if not self.noise_figure >= 1.0:
             raise ValueError("linear noise figure must be >= 1")
-        if self.noise_density_w_per_hz <= 0:
+        if not self.noise_density_w_per_hz > 0:
             raise ValueError("noise density must be positive")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth must be positive")
-        loss = path_loss_linear(self.cell_radius_m, self.carrier_freq_hz)
-        g = 1.0 / (loss * self.noise_figure * self.noise_density_w_per_hz * self.bandwidth_hz)
+        try:
+            loss = path_loss_linear(self.cell_radius_m, self.carrier_freq_hz)
+            g = 1.0 / (loss * self.noise_figure * self.noise_density_w_per_hz * self.bandwidth_hz)
+        except (OverflowError, ZeroDivisionError):
+            g = 0.0
+        if not 0.0 < g < math.inf:
+            raise ValueError("link parameters must give a positive finite channel gain")
         object.__setattr__(self, "channel_gain", g)
 
     @classmethod
@@ -87,11 +92,16 @@ class LinkBudget:
         bandwidth_hz: float = 20e6,
     ) -> "LinkBudget":
         """Build from the usual dB-valued inputs, converting exactly once."""
+        try:
+            noise_figure = db_to_linear(noise_figure_db)
+            noise_density = dbm_per_hz_to_w_per_hz(noise_density_dbm_hz)
+        except OverflowError:
+            raise ValueError("noise figure and density must be inside the float range") from None
         return cls(
             carrier_freq_hz=carrier_freq_hz,
             cell_radius_m=cell_radius_m,
-            noise_figure=db_to_linear(noise_figure_db),
-            noise_density_w_per_hz=dbm_per_hz_to_w_per_hz(noise_density_dbm_hz),
+            noise_figure=noise_figure,
+            noise_density_w_per_hz=noise_density,
             bandwidth_hz=bandwidth_hz,
         )
 
@@ -108,7 +118,7 @@ def tx_power_for_rate(gain: float, bandwidth_hz: float, rate_bps,
                       max_exponent: float = MAX_RATE_EXPONENT):
     """Transmit power needed for rate_bps; exact inverse of shannon_rate."""
     r = np.asarray(rate_bps)
-    if np.count_nonzero(r < 0):
+    if np.count_nonzero(~(r >= 0)):
         raise ValueError("rate must be nonnegative")
     exponent = r / bandwidth_hz
     if np.count_nonzero(exponent > max_exponent):

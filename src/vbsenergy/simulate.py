@@ -138,7 +138,8 @@ def halfwidth(batch_values, confidence: float) -> float:
     if n < 2:
         return math.inf
     tq = _stats.t.ppf(0.5 + confidence / 2.0, n - 1)
-    return float(tq * v.std(ddof=1) / math.sqrt(n))
+    with np.errstate(over="ignore"):  # a spread past the float range is inf
+        return float(tq * v.std(ddof=1) / math.sqrt(n))
 
 
 def _draw_sizes(rng: np.random.Generator, distribution: str, mean_bits: float,

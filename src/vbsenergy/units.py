@@ -45,7 +45,6 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
         "GB": 8e9,
     },
     "distance": {"": 1.0, "m": 1.0, "km": 1e3},
-    "time": {"": 1.0, "s": 1.0, "ms": 1e-3},
     "arrival": {"": 1.0, "/s": 1.0, "per_s": 1.0},
     "bitrate": {"": 1.0, "bps": 1.0, "bit/s": 1.0, "kbps": 1e3, "Mbps": 1e6, "Gbps": 1e9},
     "dimensionless": {"": 1.0},

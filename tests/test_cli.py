@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from vbsenergy import cli
 from vbsenergy.cli import SWEEP_VARS, main
+from vbsenergy.config import _REGISTRY
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +291,33 @@ def test_refused_inputs_exit_with_one_error_line(capsys, argv, expected):
     assert "Traceback" not in err
 
 
+# Settings whose derived constants leave the float range: a power of a
+# speed, the path loss, or a dB figure overflows or underflows.
+OUT_OF_RANGE = [
+    ("compute", "beta", "1e300"),
+    ("compute", "ref_speed", "1e300"),
+    ("compute", "ref_speed", "1e-300"),
+    ("link", "carrier_frequency", "1e300"),
+    ("link", "carrier_frequency", "1e-300"),
+    ("link", "cell_radius", "1e300"),
+    ("link", "cell_radius", "1e-300"),
+    ("link", "noise_figure", "1e300 dB"),
+    ("link", "noise_density", "1e300 dBm/Hz"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v}" for s, k, v in OUT_OF_RANGE])
+def test_settings_outside_the_float_range_exit_2(capsys, tmp_path, section, key, value):
+    path = tmp_path / "station.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_refused_command_leaves_the_output_file_empty(capsys, tmp_path):
     out_path = tmp_path / "result.csv"
     code, out, _ = run_cli(capsys, "power", "--rate", "10 Mbps", "--output", str(out_path))
@@ -347,8 +375,10 @@ def test_sweep_flags_a_delay_no_finite_core_count_meets(capsys):
 
 
 # Edge values, plus a few in the model's domain so runs get past parsing.
-# Neither output path leaves a file behind.
+# Neither output nor trace path leaves a file behind.
 FUZZ_OUTPUTS = (os.devnull, "/nonexistent/x.csv")
+FUZZ_TRACES = (os.devnull, "/nonexistent/t.tsv")
+FUZZ_KEYS = sorted(_REGISTRY)
 FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "1e400", "nan", "junk", "1", "2", "3e7")
 _TRAFFIC_FLAGS = ("--alpha", "--lambda", "--file-size")
 FUZZ_FLAGS = {
@@ -356,7 +386,7 @@ FUZZ_FLAGS = {
     "optimize": ("--cores", "--cores-max", "--output", *_TRAFFIC_FLAGS),
     "sweep": ("--cores", "--cores-max", "--output", *_TRAFFIC_FLAGS),
     "compare": ("--policy", "--output", *_TRAFFIC_FLAGS),
-    "simulate": ("--cores", "--seed", "--output", *_TRAFFIC_FLAGS),
+    "simulate": ("--cores", "--seed", "--output", "--trace", *_TRAFFIC_FLAGS),
     "config-show": _TRAFFIC_FLAGS,
 }
 
@@ -382,15 +412,26 @@ def fuzz_argv(draw):
             choices = ("grid", "cbs-optimal", *FUZZ_VALUES)
         elif flag == "--output":
             choices = FUZZ_OUTPUTS
+        elif flag == "--trace":
+            choices = FUZZ_TRACES
         else:
             choices = FUZZ_VALUES
         argv += [flag, draw(st.sampled_from(choices))]
-    return argv
+    # One key per file: two keys together can ask for a walk over
+    # millions of core counts (kappa = 3e7 with n_cores_max = 3e7).
+    setting = draw(st.none() | st.tuples(st.sampled_from(FUZZ_KEYS), value))
+    return argv, setting
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(fuzz_argv())
-def test_cli_fuzz_exits_with_a_documented_code(argv):
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, case):
+    argv, setting = case
+    if setting is not None:
+        (section, key), value = setting
+        path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = ["--config", str(path), *argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

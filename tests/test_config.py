@@ -2,7 +2,6 @@
 import pytest
 
 from vbsenergy.config import (
-    _OPTIONAL,
     _REGISTRY,
     apply_override,
     build_settings,
@@ -44,7 +43,7 @@ def test_every_key_sets_its_own_field():
     assert s.scenario == Scenario()
     assert s.earth == EarthParams()
     keys = {(section, key) for section, items in default_text().items() for key in items}
-    assert set(_REGISTRY) == keys | _OPTIONAL
+    assert set(_REGISTRY) == keys | {k for k, row in _REGISTRY.items() if row[2] is None}
 
 
 def test_config_file_merging(tmp_path):

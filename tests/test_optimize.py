@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vbsenergy import optimize
 from vbsenergy.errors import (
     InfeasibleError,
     InfeasibleLoadError,
@@ -193,6 +194,51 @@ def test_joint_optimize_infeasible():
     joint_optimize(sc, 4)  # more cores make it feasible again
 
 
+def test_joint_optimize_stops_at_the_first_refused_candidate():
+    # The clamped candidate on 22 cores is over the link cap, so a larger
+    # limit cannot change the winner found within 21 cores.
+    sc = replace(Scenario(), traffic=TrafficParams(arrival_rate=6.25))
+    assert joint_optimize(sc, 22) == joint_optimize(sc, 21)
+    assert joint_optimize(sc, 21).n_cores == 3
+
+
+def count_rate_calls(monkeypatch, limit=None):
+    calls = []
+    solve = optimize._rate_for_cores
+
+    def counted(sc, n):
+        calls.append(n)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"more than {limit} _rate_for_cores calls")
+        return solve(sc, n)
+
+    monkeypatch.setattr(optimize, "_rate_for_cores", counted)
+    return calls
+
+
+def test_joint_optimize_skips_counts_below_the_load(monkeypatch):
+    # The load needs about 2.8e8 cores, so no count up to 1e5 is tried.
+    calls = count_rate_calls(monkeypatch)
+    sc = replace(Scenario(), traffic=TrafficParams(arrival_rate=1e9))
+    with pytest.raises(InfeasibleScenarioError):
+        joint_optimize(sc, 10**5)
+    assert len(calls) <= 3
+    # A need of 3.15 cores starts the walk at 3; the winner is the one
+    # the walk from 1 found.
+    calls.clear()
+    heavy = replace(Scenario(), traffic=TrafficParams(arrival_rate=10.0))
+    assert joint_optimize(heavy, 8).n_cores == 4
+    assert calls[0] == 3
+
+
+def test_joint_optimize_stops_where_a_core_adds_no_capacity(monkeypatch):
+    # Near 1e292 cores one more core adds nothing in floats.
+    count_rate_calls(monkeypatch, limit=10)
+    sc = replace(Scenario(), traffic=TrafficParams(file_size_bits=1e300))
+    with pytest.raises(InfeasibleScenarioError):
+        joint_optimize(sc, int(1e300))
+
+
 def test_extra_core_costs_its_idle_floor():
     # At a fixed rate, core n+1 adds exactly rho * P_core_min to the cost.
     sc = Scenario()
@@ -294,8 +340,9 @@ def test_tradeoff_curve_flags_power_cap():
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(alpha=-1.0)
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            Scenario(alpha=alpha)
     link = Scenario().link
     bad_radio = replace(Scenario().radio, bandwidth_hz=10e6)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Station power models: BBU, radio head, and the macro baseline."""
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,3 +191,25 @@ def test_parameter_validation():
         EarthParams(p0_w=50.0, p_sleep_w=56.0)
     with pytest.raises(ValueError):
         EarthParams(n_trx=0)
+    nan = math.nan
+    for field in ("cpu_speed", "ref_speed", "beta", "c0", "kappa"):
+        with pytest.raises(ValueError):
+            ComputeParams(**{field: nan})
+    for field in ("p_rf_w", "p_sleep_w", "bandwidth_hz", "switch_energy_j", "p_out_max_w"):
+        with pytest.raises(ValueError):
+            RadioParams(**{field: nan})
+    for field in ("delta_p", "p_out_max_w"):
+        with pytest.raises(ValueError):
+            EarthParams(**{field: nan})
+    profile = vbs_profile(cores(1), RadioParams(), GAIN)
+    for field in ("sleep_power_w", "switch_energy_j"):
+        with pytest.raises(ValueError):
+            replace(profile, **{field: nan})
+    with pytest.raises(ValueError):
+        profile.busy_power(nan)
+    # ref_speed**beta or cpu_speed**(beta-1) overflows or underflows.
+    for kwargs in ({"beta": 1e300}, {"ref_speed": 1e300}, {"ref_speed": 1e-300},
+                   {"cpu_speed": 1e300, "beta": 3.0}, {"cpu_speed": 1e-300, "beta": 3.0}):
+        with pytest.raises(ValueError):
+            ComputeParams(**kwargs)
+    ComputeParams(cpu_speed=1e-300)  # beta = 2 keeps cpu_speed**(beta-1) positive

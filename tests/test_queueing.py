@@ -26,6 +26,9 @@ def test_traffic_params():
         TrafficParams(arrival_rate=0.0)
     with pytest.raises(ValueError):
         TrafficParams(file_size_bits=-1.0)
+    for field in ("arrival_rate", "file_size_bits"):
+        with pytest.raises(ValueError):
+            TrafficParams(**{field: math.nan})
 
 
 def test_queue_metrics_reference_point():
@@ -77,8 +80,9 @@ def test_system_cost():
     assert cost(prof, t, 0.0, RATE).cost_z == pytest.approx(
         average_power(prof, t, RATE), rel=1e-15
     )
-    with pytest.raises(ValueError):
-        cost(prof, t, -1.0, RATE)
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            cost(prof, t, alpha, RATE)
 
 
 def test_switching_term_scales_with_arrival_rate():

@@ -38,6 +38,21 @@ def test_carrier_shift():
         path_loss_db(500.0, 0.0)
 
 
+def test_link_budget_validation():
+    for field in ("carrier_freq_hz", "cell_radius_m", "noise_figure",
+                  "noise_density_w_per_hz", "bandwidth_hz"):
+        with pytest.raises(ValueError):
+            LinkBudget(**{field: math.nan})
+    # The path loss, and so the gain, leaves the float range.
+    for kwargs in ({"carrier_freq_hz": 1e300}, {"carrier_freq_hz": 1e-300},
+                   {"cell_radius_m": 1e300}, {"cell_radius_m": 1e-300}):
+        with pytest.raises(ValueError):
+            LinkBudget(**kwargs)
+    for kwargs in ({"noise_figure_db": 1e300}, {"noise_density_dbm_hz": 1e300}):
+        with pytest.raises(ValueError):
+            LinkBudget.from_db(**kwargs)
+
+
 def test_default_link_gain():
     link = LinkBudget()
     assert link.channel_gain == pytest.approx(EDGE_GAIN, rel=1e-12)
@@ -75,8 +90,9 @@ def test_rate_power_round_trip():
 def test_tx_power_guards():
     g, w = EDGE_GAIN, 20e6
     assert tx_power_for_rate(g, w, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        tx_power_for_rate(g, w, -1.0)
+    for rate in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            tx_power_for_rate(g, w, rate)
     # spectral efficiency above 60 bit/s/Hz would overflow in float space
     with pytest.raises(ValueError):
         tx_power_for_rate(g, w, 61.0 * w)

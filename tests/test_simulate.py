@@ -16,6 +16,7 @@ from vbsenergy.simulate import (
     SIZE_DISTRIBUTIONS,
     SimConfig,
     _draw_sizes,
+    halfwidth,
     simulate,
     validate_against_analytic,
 )
@@ -33,6 +34,10 @@ def make_config(**kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def test_halfwidth_of_a_spread_past_the_float_range_is_infinite():
+    assert halfwidth([1e300, -1e300] * 10, 0.95) == math.inf
 
 
 def test_config_validation():
