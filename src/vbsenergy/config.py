@@ -181,6 +181,10 @@ def _value(text: ConfigText, section: str, key: str):
         value = parse_quantity(raw, "count", where=where)
         if value != int(value):
             raise ConfigError(f"{where}: expected an integer, got {raw!r}")
+        # From 2**53 on a float no longer holds every integer, so the
+        # parsed value may differ from the text.
+        if abs(value) >= 2.0 ** 53:
+            raise ConfigError(f"{where}: integer magnitude must be below 2**53, got {raw!r}")
         return int(value)
     return parse_quantity(raw, kind, where=where)
 

@@ -436,7 +436,8 @@ def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list
     # Points that no finite core count decodes keep over-compute-cap.
     status = [InfeasibleLoadError.status if v else "invalid-delay" for v in valid.tolist()]
     points: list[TradeoffPoint | None] = [None] * delays.size
-    for n in np.unique(cores[valid & np.isfinite(cores)]).tolist():
+    # Not np.unique: its first call imports numpy.ma, a cost every cold run would pay.
+    for n in sorted(set(cores[valid & np.isfinite(cores)].tolist())):
         at = np.flatnonzero(valid & (cores == n))
         c = cost(scenario_profile(sc, int(n)), sc.traffic, sc.alpha, rates[at])
         for i, rate, code, *fields in zip(at.tolist(), rates[at].tolist(),

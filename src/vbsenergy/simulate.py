@@ -37,7 +37,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from .errors import UnstableQueueError
 from .power import BusyPowerProfile
@@ -132,12 +131,21 @@ class ValidationReport:
 
 
 def halfwidth(batch_values, confidence: float) -> float:
-    """Student-t halfwidth of the mean of one batch series."""
+    """Student-t halfwidth of the mean of one batch series.
+
+    The quantile is ``scipy.special.stdtrit``, the function that
+    ``scipy.stats.t.ppf`` calls, so the bits are the same. It is
+    imported here, on the first call, so that importing the package
+    loads no scipy module: that import would be most of the time of a
+    cold analytic command, and only a simulation needs a halfwidth.
+    """
     v = np.asarray(batch_values, dtype=float)
     n = v.size
     if n < 2:
         return math.inf
-    tq = _stats.t.ppf(0.5 + confidence / 2.0, n - 1)
+    from scipy.special import stdtrit
+
+    tq = stdtrit(n - 1, 0.5 + confidence / 2.0)
     with np.errstate(over="ignore"):  # a spread past the float range is inf
         return float(tq * v.std(ddof=1) / math.sqrt(n))
 
@@ -316,8 +324,11 @@ def validate_against_analytic(cfg: SimConfig, confidence: float = 0.99) -> Valid
     confidence intervals at the requested level (default 99%).
 
     A metric is flagged when the analytic value falls outside the
-    simulated interval; ok is True when nothing is flagged.
+    simulated interval; ok is True when nothing is flagged. A confidence
+    outside (0, 1), NaN included, is refused before simulating.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     stats = simulate(cfg)
     qm = queue_metrics(cfg.traffic, cfg.rate_bps)
     power = average_power(cfg.profile, cfg.traffic, cfg.rate_bps)

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +276,8 @@ REFUSED = [
     (("sweep", "lambda=0.5:1.5:3", "--cores-max", "0"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--seed", "-1"), 2),
+    (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
+      "--seed", "12345678901234567891"), 2),
     (("optimize", "--output", "/nonexistent/x.csv"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--output", "/nonexistent/x.csv"), 2),
@@ -291,9 +296,11 @@ def test_refused_inputs_exit_with_one_error_line(capsys, argv, expected):
     assert "Traceback" not in err
 
 
-# Settings whose derived constants leave the float range: a power of a
-# speed, the path loss, or a dB figure overflows or underflows.
+# Settings whose derived constants leave the float range (a power of a
+# speed, the path loss, or a dB figure overflows or underflows), and a
+# count past 2**53, where a float no longer holds every integer.
 OUT_OF_RANGE = [
+    ("compute", "n_cores", "1e300"),
     ("compute", "beta", "1e300"),
     ("compute", "ref_speed", "1e300"),
     ("compute", "ref_speed", "1e-300"),
@@ -316,6 +323,24 @@ def test_settings_outside_the_float_range_exit_2(capsys, tmp_path, section, key,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_analytic_commands_load_neither_scipy_nor_numpy_ma():
+    # Only a halfwidth needs scipy, and its import would be most of a
+    # cold run; np.unique would import numpy.ma on its first call.
+    code = (
+        "import contextlib, io, sys\n"
+        "import vbsenergy, vbsenergy.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert vbsenergy.cli.main(['optimize', '--cores', '2', '--alpha', '5']) == 0\n"
+        "    assert vbsenergy.cli.main(['compare', '--policy', 'grid']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_refused_command_leaves_the_output_file_empty(capsys, tmp_path):

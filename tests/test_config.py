@@ -113,6 +113,18 @@ def test_value_validation():
         apply_override(default_text(), "compute", "warp", "9")
 
 
+def test_integers_are_refused_from_2_to_the_53():
+    # Below 2**53 a float holds every integer, so the text is kept exactly.
+    text = default_text()
+    apply_override(text, "run", "seed", "9007199254740991")
+    assert build_settings(text).seed == 2**53 - 1
+    for value in ("9007199254740992", "12345678901234567891", "1e300", "-1e300"):
+        text = default_text()
+        apply_override(text, "run", "seed", value)
+        with pytest.raises(ConfigError, match=r"\[run\] seed"):
+            build_settings(text)
+
+
 def test_bad_parameter_combination_reports_config_error():
     text = default_text()
     apply_override(text, "compute", "p_core_min", "25 W")  # above the max

@@ -13,6 +13,7 @@ from vbsenergy.power import BusyPowerProfile, ComputeParams, RadioParams, vbs_pr
 from vbsenergy.queueing import TrafficParams
 from vbsenergy.radio import LinkBudget
 from vbsenergy.simulate import (
+    N_BATCHES,
     SIZE_DISTRIBUTIONS,
     SimConfig,
     _draw_sizes,
@@ -38,6 +39,19 @@ def make_config(**kw):
 
 def test_halfwidth_of_a_spread_past_the_float_range_is_infinite():
     assert halfwidth([1e300, -1e300] * 10, 0.95) == math.inf
+
+
+@pytest.mark.parametrize("confidence", [0.95, 0.99])
+def test_halfwidth_equals_the_scipy_reference_bits(confidence):
+    # Every (confidence, df) pair the package uses: df 1 to 19, which
+    # dropped empty batches can produce. scipy.stats is only the
+    # reference here; the package never imports it.
+    from scipy import stats
+
+    v = np.random.default_rng(11).lognormal(size=N_BATCHES)
+    for n in range(2, N_BATCHES + 1):
+        ref = stats.t.ppf(0.5 + confidence / 2, n - 1) * v[:n].std(ddof=1) / math.sqrt(n)
+        assert halfwidth(v[:n], confidence).hex() == float(ref).hex(), n
 
 
 def test_config_validation():
@@ -120,6 +134,18 @@ def test_unopenable_trace_path_fails_before_simulating(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "_draw_sizes", no_draws)
     with pytest.raises(OSError):
         simulate(make_config(trace_path=str(tmp_path / "missing" / "t.tsv")))
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, math.nan])
+def test_validation_refuses_a_confidence_outside_the_unit_interval(monkeypatch, confidence):
+    import vbsenergy.simulate as module
+
+    def no_run(cfg):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(module, "simulate", no_run)
+    with pytest.raises(ValueError, match="confidence"):
+        validate_against_analytic(make_config(), confidence)
 
 
 def test_matches_analytic_model():
