@@ -18,8 +18,6 @@ from .errors import (
     LambertDomainError,
     LinkCapacityError,
     NoEnergyOptimumError,
-    NoStationaryPointError,
-    PowerCapExceededError,
     UnstableQueueError,
     VbsError,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "LinkCapacityError",
     "LinkBudget",
     "NoEnergyOptimumError",
-    "NoStationaryPointError",
-    "PowerCapExceededError",
     "RadioParams",
     "Scenario",
     "SimConfig",

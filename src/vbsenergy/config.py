@@ -95,7 +95,9 @@ def _parse_ini(content: str, origin: str) -> ConfigText:
     try:
         cp.read_string(content, source=origin)
     except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+        # Each message names the file and line, but spreads them over
+        # several lines; an error is one line.
+        raise ConfigError(" ".join(str(exc).split())) from exc
     out: ConfigText = {}
     for section in cp.sections():
         out[section] = dict(cp.items(section))

@@ -30,12 +30,6 @@ class InfeasibleLoadError(InfeasibleError):
     message = "rate {rate:.6g} bit/s above the core capacity {capacity:.6g} bit/s"
 
 
-class PowerCapExceededError(InfeasibleError):
-    """Transmit power above the amplifier cap."""
-    status = "over-power-cap"
-    message = "transmit power {p_out:.6g} W above cap {cap:.6g} W"
-
-
 class LinkCapacityError(InfeasibleError, ValueError):
     """Rate beyond what the link budget can carry without overflow."""
     status = "over-link-cap"
@@ -54,10 +48,6 @@ class LambertDomainError(VbsError, ValueError):
 
 class ConvergenceError(VbsError):
     """An iterative solver hit its iteration cap without converging."""
-
-
-class NoStationaryPointError(VbsError):
-    """The cost derivative has no root in the stable rate region."""
 
 
 class NoEnergyOptimumError(InfeasibleError):
@@ -81,8 +71,7 @@ class ConfigError(VbsError):
 # The cost kernel's refusals, each with its ``message``, in the order they
 # take precedence: the kernel flags a refused rate with the index of the
 # first one that applies, and a served rate with 0.
-REFUSALS = (None, UnstableQueueError, LinkCapacityError, InfeasibleLoadError,
-            PowerCapExceededError)
+REFUSALS = (None, UnstableQueueError, LinkCapacityError, InfeasibleLoadError)
 
 
 def refusal_status(code: int) -> str:

@@ -41,7 +41,6 @@ from .errors import (
     InfeasibleLoadError,
     InfeasibleScenarioError,
     NoEnergyOptimumError,
-    NoStationaryPointError,
     UnstableQueueError,
     refusal_status,
 )
@@ -190,11 +189,11 @@ def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int) -> TradeoffPoint
 def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
                    rate_bps: float) -> float:
     """Signed stationarity gap of z = E{P} + alpha * E{n} at rate_bps;
-    positive while the cost is still falling, zero at its minimizer.
+    positive while the cost is still falling, zero at its minimizer, and
+    negative where it rises.
 
-    Raises NoStationaryPointError when the Lambert argument falls below
-    -1/e at this rate, meaning the cost is rising here and no interior
-    stationary point lies at or beyond rate_bps.
+    Where the Lambert argument a(r) falls below -1/e the gap is -inf:
+    u * e**u >= -1/e > a(r) for every u, so dz/dr > 0 there.
     """
     load = t.offered_load_bps
     if not rate_bps > load:
@@ -206,9 +205,7 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
         + (g_eta * p_s - 1.0) / math.e
     )
     if w_arg < BRANCH_POINT_ARG:
-        raise NoStationaryPointError(
-            "cost derivative has no root at or beyond this rate"
-        )
+        return -math.inf
     return lambert_w0(w_arg) - (rate_bps * LN2 / profile.bandwidth_hz - 1.0)
 
 
@@ -280,8 +277,8 @@ def asymptotic_power(sc: Scenario, n_cores: int) -> float:
 
     The utilization tends to 1, so sleep and switching vanish and only
     the busy power at the offered load remains. Two traffic mixes with
-    equal offered load share this value. An offered load beyond a core,
-    link or amplifier cap raises the kernel's error.
+    equal offered load share this value. An offered load beyond the core
+    or link cap raises the kernel's error.
     """
     return scenario_profile(sc, n_cores).busy_power(sc.traffic.offered_load_bps)
 
@@ -292,7 +289,8 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     At alpha = 0 this is exactly the closed form; otherwise the unique
     root of the stationarity gap is bracketed by doubling and refined by
     bisection to 1e-12 relative width. Bisection is deliberate: the gap
-    is monotone, so convergence is unconditional.
+    is monotone, so convergence is unconditional. Raises
+    NoEnergyOptimumError when no finite-delay minimum exists.
     """
     profile = scenario_profile(sc, n_cores)
     t = sc.traffic
@@ -311,7 +309,7 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     while gap(lo) <= 0.0:
         eps *= 1e-3
         if eps < 1e-15:
-            raise NoStationaryPointError(
+            raise NoEnergyOptimumError(
                 "no stationary rate above the stability boundary"
             )
         lo = load * (1.0 + eps)
@@ -347,9 +345,10 @@ def _rate_for_cores(sc: Scenario, n_cores: int) -> tuple[float, bool]:
         )
     try:
         r_hat = solve_optimal_rate(sc, n_cores)
-    except (NoEnergyOptimumError, NoStationaryPointError):
-        # No interior minimum: cost falls toward the open stability
-        # boundary, so the only usable candidate is the capacity clamp.
+    except NoEnergyOptimumError:
+        # No finite-delay minimum: the cost rises with the rate over the
+        # whole stable region, so the capacity is the costliest stable
+        # rate on n_cores, not the cheapest. It is what optimize reports.
         return r_cap, True
     if r_hat <= r_cap:
         return r_hat, False
@@ -371,11 +370,10 @@ def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
     capacity point is kept as a candidate and the walk continues; once
     the minimizer becomes achievable it is added and the walk stops,
     because further cores only add idle-floor power. Candidate rates
-    rise with N_c, so the first one the link or amplifier cap refuses
-    also ends the walk; that refusal is raised only when no candidate
-    came before it. The walk also stops where one more core adds no
-    capacity in floats. Ties within 1e-9 relative cost go to the
-    smaller core count.
+    rise with N_c, so the first one the link cap refuses also ends the
+    walk; that refusal is raised only when no candidate came before it.
+    The walk also stops where one more core adds no capacity in floats.
+    Ties within 1e-9 relative cost go to the smaller core count.
     """
     if n_cores_max < 1:
         raise ValueError("n_cores_max must be at least 1")

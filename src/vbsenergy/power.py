@@ -32,7 +32,6 @@ from .errors import (
     REFUSALS,
     InfeasibleLoadError,
     LinkCapacityError,
-    PowerCapExceededError,
     UnstableQueueError,
 )
 from .radio import MAX_RATE_EXPONENT, tx_power_for_rate
@@ -89,7 +88,6 @@ class RadioParams:
     p_sleep_w: float = 6.45
     bandwidth_hz: float = 20e6
     switch_energy_j: float = 5.0
-    p_out_max_w: float = math.inf
 
     def __post_init__(self) -> None:
         if not 0 < self.pa_efficiency <= 1:
@@ -100,8 +98,6 @@ class RadioParams:
             raise ValueError("bandwidth must be positive")
         if not self.switch_energy_j >= 0:
             raise ValueError("switch energy must be nonnegative")
-        if not self.p_out_max_w > 0:
-            raise ValueError("p_out_max_w must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,6 @@ class EarthParams:
     p0_w: float = 84.0
     delta_p: float = 2.8
     p_sleep_w: float = 56.0
-    p_out_max_w: float = math.inf
 
     def __post_init__(self) -> None:
         if self.n_trx < 1 or self.n_trx != int(self.n_trx):
@@ -122,8 +117,6 @@ class EarthParams:
             raise ValueError("delta_p must be positive")
         if not self.p0_w > self.p_sleep_w >= 0:
             raise ValueError("need p0_w > p_sleep_w >= 0")
-        if not self.p_out_max_w > 0:
-            raise ValueError("p_out_max_w must be positive")
 
 
 def delta_pb(c: ComputeParams) -> float:
@@ -159,17 +152,11 @@ def bbu_power(c: ComputeParams, rate_bps, check: bool = True):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _check_power_cap(p_out, cap_w: float) -> None:
-    if np.any(p_out > cap_w):
-        raise PowerCapExceededError.at(p_out=np.max(p_out), cap=cap_w)
-
-
 def rrh_power(rp: RadioParams, p_out_w):
     """Radio head supply power: amplifier input p_out/eta plus fixed RF."""
     p_out = np.asarray(p_out_w, dtype=float)
     if np.any(p_out < 0):
         raise ValueError("transmit power must be nonnegative")
-    _check_power_cap(p_out, rp.p_out_max_w)
     p = p_out / rp.pa_efficiency + rp.p_rf_w
     return float(p) if np.ndim(p) == 0 else p
 
@@ -204,7 +191,6 @@ def earth_busy_power(e: EarthParams, p_out_w):
     p_out = np.asarray(p_out_w, dtype=float)
     if np.any(p_out < 0):
         raise ValueError("transmit power must be nonnegative")
-    _check_power_cap(p_out, e.p_out_max_w)
     p = e.n_trx * e.p0_w + e.delta_p * p_out
     return float(p) if np.ndim(p) == 0 else p
 
@@ -212,9 +198,8 @@ def earth_busy_power(e: EarthParams, p_out_w):
 @dataclass(frozen=True)
 class BusyPowerProfile:
     """Coefficients of the shared busy-power shape plus the sleep-cycle
-    constants. busy_power refuses rates above max_rate_bps (the core
-    capacity, with cpu_load's rounding slack) and transmit powers above
-    p_out_max_w."""
+    constants. busy_power refuses rates beyond the link budget and above
+    max_rate_bps (the core capacity, with cpu_load's rounding slack)."""
 
     base_w: float
     rate_coeff: float
@@ -226,7 +211,6 @@ class BusyPowerProfile:
     sleep_power_w: float
     switch_energy_j: float
     max_rate_bps: float = math.inf
-    p_out_max_w: float = math.inf
 
     def __post_init__(self) -> None:
         if not (self.sleep_power_w >= 0 and self.switch_energy_j >= 0):
@@ -259,11 +243,11 @@ class BusyPowerProfile:
         link = r / self.bandwidth_hz > MAX_RATE_EXPONENT
         p_out = tx_power_for_rate(self.gain, self.bandwidth_hz,
                                   np.where(unstable | link, 0.0, r))
-        cores, amp = r > self.max_rate_bps, p_out > self.p_out_max_w
+        cores = r > self.max_rate_bps
         code = np.zeros(np.shape(r), dtype=int)
-        if np.count_nonzero(unstable | link | cores | amp):
+        if np.count_nonzero(unstable | link | cores):
             masks = {UnstableQueueError: unstable, LinkCapacityError: link,
-                     InfeasibleLoadError: cores, PowerCapExceededError: amp}
+                     InfeasibleLoadError: cores}
             for k in range(len(REFUSALS) - 1, 0, -1):  # the first refusal wins
                 code = np.where(masks[REFUSALS[k]], k, code)
         # This grouping reproduces bbu_power + rrh_power bit for bit.
@@ -278,10 +262,8 @@ def raise_refusal(code, rates, profile: BusyPowerProfile, load: float | None = N
     if np.count_nonzero(code):
         i = np.flatnonzero(code)[0]
         rate, cls = float(np.ravel(rates)[i]), REFUSALS[np.ravel(code)[i]]
-        p_out = (tx_power_for_rate(profile.gain, profile.bandwidth_hz, rate)
-                 if cls is PowerCapExceededError else None)
         raise cls.at(load=load, rate=rate, capacity=profile.max_rate_bps,
-                     max_exponent=MAX_RATE_EXPONENT, p_out=p_out, cap=profile.p_out_max_w)
+                     max_exponent=MAX_RATE_EXPONENT)
 
 
 def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float) -> BusyPowerProfile:
@@ -297,7 +279,6 @@ def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float) -> BusyPowerProf
         sleep_power_w=rp.p_sleep_w,
         switch_energy_j=rp.switch_energy_j,
         max_rate_bps=((1.0 + _LOAD_SLACK) * c.n_cores * c.cpu_speed - c.c0) / c.kappa,
-        p_out_max_w=rp.p_out_max_w,
     )
 
 
@@ -315,5 +296,4 @@ def earth_profile(e: EarthParams, gain: float, bandwidth_hz: float,
         bandwidth_hz=bandwidth_hz,
         sleep_power_w=e.n_trx * e.p_sleep_w,
         switch_energy_j=switch_energy_j,
-        p_out_max_w=e.p_out_max_w,
     )

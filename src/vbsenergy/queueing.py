@@ -94,11 +94,11 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Co
     with its parts, at each of the rates (a scalar or an array).
 
     A rate is refused as unstable unless it exceeds the offered load (so
-    NaN is refused), then by the profile for the link, core and amplifier
-    caps. alpha is watts
-    per queued flow; alpha = 0 gives z = E{P}. Raising the core count at
-    a fixed rate adds exactly rho * P_core_min to the cost, the idle
-    floor of the extra core weighted by the time it is powered.
+    NaN is refused), then by the profile for the link and core caps.
+    alpha is watts per queued flow; alpha = 0 gives z = E{P}. Raising
+    the core count at a fixed rate adds exactly rho * P_core_min to the
+    cost, the idle floor of the extra core weighted by the time it is
+    powered.
     """
     if not alpha >= 0:
         raise ValueError("alpha must be nonnegative")

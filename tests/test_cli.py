@@ -89,6 +89,18 @@ def test_optimize_with_overrides(capsys):
     assert float(row["avg_power_w"]) == pytest.approx(16.60093, rel=1e-4)
 
 
+def test_optimize_solves_past_a_probe_where_the_cost_rises(capsys):
+    # The bracket's first doubling probes 80 Mbit/s, where the cost rises
+    # and the stationarity gap is -inf; the 2-core root lies below it.
+    code, out, _ = run_cli(capsys, "optimize", "--lambda", "2.5/s", "--alpha", "0.5",
+                           "--cores", "2")
+    assert code == 0
+    assert parse_rows(out)[0]["rate_bps"] == "52264154.5708"
+    code, out, _ = run_cli(capsys, "optimize", "--lambda", "2.5/s", "--alpha", "0.5")
+    assert code == 0
+    assert parse_rows(out)[0]["n_cores"] == "2"
+
+
 def test_sweep_single_step_equals_power(capsys):
     # a one-point delay sweep must agree with the power command at the
     # rate that yields that delay (32 Mbit/s for a 1 s target)
@@ -244,6 +256,18 @@ def test_bad_config_exits_2(capsys, tmp_path):
     assert "n_cores" in err
 
 
+@pytest.mark.parametrize("content", ["[run\n", "[run]\ngarbage\n"],
+                         ids=["unclosed-section", "bare-line"])
+def test_malformed_config_file_exits_with_one_error_line(capsys, tmp_path, content):
+    cfg = tmp_path / "broken.ini"
+    cfg.write_text(content)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "optimize")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg) in err and "line" in err
+
+
 def test_output_file(capsys, tmp_path):
     out_path = tmp_path / "result.csv"
     code, out, _ = run_cli(capsys, "optimize", "--output", str(out_path))
@@ -264,6 +288,8 @@ def test_usage_error_exit_code(capsys):
 # Each ends in one error line and no CSV.
 REFUSED = [
     (("sweep", "lambda=0:1:3"), 2),
+    (("sweep", "lambda0:1:3"), 2),
+    (("sweep", "lambda=0:1:3:log"), 2),
     (("sweep", "file_size=-1:1e7:3"), 2),
     (("sweep", "alpha=-1:1:3", "--cores", "2"), 2),
     (("optimize", "--cores", "0"), 2),
@@ -284,6 +310,8 @@ REFUSED = [
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--trace", "/nonexistent/t.tsv"), 2),
     (("power", "--rate", "10 Mbps"), 3),
+    # The joint walk's first candidate is over the link cap.
+    (("optimize", "--file-size", "162.5 MB", "--cores-max", "30"), 3),
 ]
 
 

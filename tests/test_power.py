@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vbsenergy.errors import InfeasibleLoadError, PowerCapExceededError
+from vbsenergy.errors import InfeasibleLoadError
 from vbsenergy.power import (
     ComputeParams,
     EarthParams,
@@ -92,9 +92,6 @@ def test_rrh_power():
     assert rrh_power(rp, 0.0) == pytest.approx(12.9, rel=1e-15)
     with pytest.raises(ValueError):
         rrh_power(rp, -0.1)
-    capped = RadioParams(p_out_max_w=10.0)
-    with pytest.raises(PowerCapExceededError):
-        rrh_power(capped, 10.5)
 
 
 def test_static_and_sleep_adjusted_power():
@@ -117,8 +114,6 @@ def test_earth_busy_power():
     assert earth_busy_power(e, 0.0) == pytest.approx(84.0, rel=1e-15)
     with pytest.raises(ValueError):
         earth_busy_power(e, -1.0)
-    with pytest.raises(PowerCapExceededError):
-        earth_busy_power(EarthParams(p_out_max_w=20.0), 40.0)
 
 
 def test_profiles_wrap_the_same_models():
@@ -195,12 +190,11 @@ def test_parameter_validation():
     for field in ("cpu_speed", "ref_speed", "beta", "c0", "kappa"):
         with pytest.raises(ValueError):
             ComputeParams(**{field: nan})
-    for field in ("p_rf_w", "p_sleep_w", "bandwidth_hz", "switch_energy_j", "p_out_max_w"):
+    for field in ("p_rf_w", "p_sleep_w", "bandwidth_hz", "switch_energy_j"):
         with pytest.raises(ValueError):
             RadioParams(**{field: nan})
-    for field in ("delta_p", "p_out_max_w"):
-        with pytest.raises(ValueError):
-            EarthParams(**{field: nan})
+    with pytest.raises(ValueError):
+        EarthParams(delta_p=nan)
     profile = vbs_profile(cores(1), RadioParams(), GAIN)
     for field in ("sleep_power_w", "switch_energy_j"):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Stationary queue metrics and sleep-cycle average power."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,14 +117,12 @@ def _with_neighbours(x):
     alpha=st.floats(0.0, 100.0),
     arrival_rate=st.floats(0.05, 5.0),
     file_size=st.floats(1e5, 1e8),
-    p_out_max_w=st.one_of(st.just(math.inf), st.floats(0.1, 100.0)),
     n_cores=st.integers(1, 8),
     drawn=st.lists(st.floats(-1e9, 1e10), max_size=8),
 )
 def test_kernel_grid_equals_its_single_rate_calls(alpha, arrival_rate, file_size,
-                                                  p_out_max_w, n_cores, drawn):
-    sc = Scenario(radio=replace(RadioParams(), p_out_max_w=p_out_max_w),
-                  traffic=TrafficParams(arrival_rate, file_size), alpha=alpha)
+                                                  n_cores, drawn):
+    sc = Scenario(traffic=TrafficParams(arrival_rate, file_size), alpha=alpha)
     prof = scenario_profile(sc, n_cores)
     edges = (0.0, -1.0, sc.traffic.offered_load_bps,
              MAX_RATE_EXPONENT * prof.bandwidth_hz, prof.max_rate_bps)
