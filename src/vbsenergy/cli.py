@@ -237,14 +237,14 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
     if steps < 1:
         raise ConfigError("sweep needs at least one step")
     if steps == 1:
-        values = [start]
-    elif len(parts) == 4:
-        if start <= 0 or stop <= 0:
-            raise ConfigError("log grids need positive endpoints")
-        values = [float(v) for v in np.geomspace(start, stop, steps)]
-    else:
-        values = [float(v) for v in np.linspace(start, stop, steps)]
-    return name, values
+        return name, [start]
+    if len(parts) == 4 and (start <= 0 or stop <= 0):
+        raise ConfigError("log grids need positive endpoints")
+    try:
+        grid_fn = np.geomspace if len(parts) == 4 else np.linspace
+        return name, [float(v) for v in grid_fn(start, stop, steps)]
+    except MemoryError as exc:
+        raise ConfigError(f"sweep grid {grid!r}: {steps} steps do not fit in memory") from exc
 
 
 def cmd_sweep(args, settings: Settings, fh) -> int:

@@ -25,17 +25,18 @@ idle-floor power, so the walk stops there and picks the cheapest
 candidate collected so far.
 
 Operating points are evaluated by the cost kernel queueing.cost:
-evaluate_point on one rate, raising its refusal, and tradeoff_curve once
-per core count, flagging refused points.
+evaluate_point on one rate, raising its refusal, and tradeoff_curve in
+one call over all its (rate, core count) pairs, flagging refused points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    REFUSALS,
     ConvergenceError,
     InfeasibleError,
     InfeasibleLoadError,
@@ -52,6 +53,7 @@ from .power import (  # noqa: F401
     ComputeParams,
     EarthParams,
     RadioParams,
+    check_cores,
     earth_profile,
     raise_refusal,
     sleep_adjusted_power,
@@ -146,12 +148,13 @@ class JointResult:
     candidates: tuple[TradeoffPoint, ...]
 
 
-def max_supportable_rate(c: ComputeParams) -> float:
-    """Largest rate the cores can decode: load reaches 1 exactly there."""
-    r_max = (c.n_cores * c.cpu_speed - c.c0) / c.kappa
+def max_supportable_rate(c: ComputeParams, n_cores: int | None = None) -> float:
+    """Largest rate n_cores cores (default c.n_cores) decode: load is 1 there."""
+    n = c.n_cores if n_cores is None else check_cores(n_cores)
+    r_max = (n * c.cpu_speed - c.c0) / c.kappa
     if r_max <= 0:
         raise InfeasibleLoadError(
-            f"{c.n_cores} core(s) cannot even run the rate-independent load"
+            f"{n} core(s) cannot even run the rate-independent load"
         )
     return r_max
 
@@ -172,9 +175,9 @@ def cores_needed(c: ComputeParams, rate_bps):
     return int(need)
 
 
-def scenario_profile(sc: Scenario, n_cores: int) -> BusyPowerProfile:
-    """VBS busy-power profile for the scenario at the given core count."""
-    return vbs_profile(replace(sc.compute, n_cores=n_cores), sc.radio, sc.link.channel_gain)
+def scenario_profile(sc: Scenario, n_cores) -> BusyPowerProfile:
+    """VBS busy-power profile on n_cores cores, one count or an array of them."""
+    return vbs_profile(sc.compute, sc.radio, sc.link.channel_gain, n_cores)
 
 
 def evaluate_point(sc: Scenario, rate_bps: float, n_cores: int) -> TradeoffPoint:
@@ -338,7 +341,7 @@ def _rate_for_cores(sc: Scenario, n_cores: int) -> tuple[float, bool]:
     clamped it: the interior optimum when it fits, else the capacity.
     Raises InfeasibleLoadError or InfeasibleScenarioError when the cores
     cannot reach a stable rate."""
-    r_cap = max_supportable_rate(replace(sc.compute, n_cores=n_cores))
+    r_cap = max_supportable_rate(sc.compute, n_cores)
     if r_cap <= sc.traffic.offered_load_bps * (1.0 + STABILITY_MARGIN):
         raise InfeasibleScenarioError(
             f"{n_cores} core(s) cannot reach a stable rate for this load"
@@ -422,25 +425,23 @@ def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list
     """Evaluate the scenario along a grid of target mean delays.
 
     n_cores fixes the core count; None picks the smallest sufficient
-    count per point. The cost kernel runs once per core count. A delay
-    that is not positive is an invalid-delay point, and refused points
-    are flagged with their status, not dropped.
+    count per point. The cost kernel runs once, on a profile that holds
+    each point's count. A delay that is not positive is an invalid-delay
+    point, and refused points are flagged with their status, not dropped.
     """
     delays = np.asarray(delay_grid, dtype=float)
     valid = delays > 0
     rates = rate_for_delay(sc.traffic, np.where(valid, delays, 1.0))
     cores = (cores_needed(sc.compute, rates) if n_cores is None
              else np.full(delays.shape, n_cores))
-    # Points that no finite core count decodes keep over-compute-cap.
-    status = [InfeasibleLoadError.status if v else "invalid-delay" for v in valid.tolist()]
-    points: list[TradeoffPoint | None] = [None] * delays.size
-    # Not np.unique: its first call imports numpy.ma, a cost every cold run would pay.
-    for n in sorted(set(cores[valid & np.isfinite(cores)].tolist())):
-        at = np.flatnonzero(valid & (cores == n))
-        c = cost(scenario_profile(sc, int(n)), sc.traffic, sc.alpha, rates[at])
-        for i, rate, code, *fields in zip(at.tolist(), rates[at].tolist(),
-                                          *(f.tolist() for f in c)):
-            status[i] = refusal_status(code)
-            if not code:
-                points[i] = TradeoffPoint(rate, int(n), *fields)
-    return [CurvePoint(d, s, p) for d, s, p in zip(delays.tolist(), status, points)]
+    finite = np.isfinite(cores)
+    c = cost(scenario_profile(sc, np.where(finite, cores, 1)), sc.traffic, sc.alpha, rates)
+    # Points that no finite core count decodes are over-compute-cap.
+    codes = np.where(finite, c.code, REFUSALS.index(InfeasibleLoadError))
+    curve = []
+    for d, ok, rate, n, code, *fields in zip(delays.tolist(), valid.tolist(), rates.tolist(),
+                                             cores.tolist(), codes.tolist(),
+                                             *(f.tolist() for f in c[1:])):
+        point = TradeoffPoint(rate, int(n), *fields) if ok and not code else None
+        curve.append(CurvePoint(d, refusal_status(code) if ok else "invalid-delay", point))
+    return curve

@@ -56,8 +56,7 @@ class ComputeParams:
     kappa: float = 35.0
 
     def __post_init__(self) -> None:
-        if self.n_cores < 1 or self.n_cores != int(self.n_cores):
-            raise ValueError("n_cores must be a positive integer")
+        check_cores(self.n_cores)
         if not (self.cpu_speed > 0 and self.ref_speed > 0):
             raise ValueError("core speeds must be positive")
         if not self.p_core_max_w > self.p_core_min_w >= 0:
@@ -75,6 +74,17 @@ class ComputeParams:
         if not all(0.0 < x < math.inf for x in scales):
             raise ValueError("core speeds and beta must keep ref_speed**beta and "
                              "cpu_speed**(beta-1) positive and finite")
+
+
+def check_cores(n_cores):
+    """n_cores, one count or a numpy array of them, if each is a positive integer."""
+    if isinstance(n_cores, np.ndarray):
+        ok = np.all(np.isfinite(n_cores) & (n_cores >= 1) & (np.floor(n_cores) == n_cores))
+    else:  # pure Python: a numpy check costs more than a profile
+        ok = n_cores >= 1 and n_cores == int(n_cores)
+    if not ok:
+        raise ValueError("n_cores must be a positive integer")
+    return n_cores
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,7 @@ def bbu_power(c: ComputeParams, rate_bps, check: bool = True):
     """
     cpu_load(c, rate_bps, check=check)  # feasibility gate only
     s_pow = c.cpu_speed ** (c.beta - 1.0)
-    p = _bbu_floor(c) + delta_pb(c) * c.kappa * np.asarray(rate_bps, dtype=float) * s_pow
+    p = _bbu_floor(c, c.n_cores) + delta_pb(c) * c.kappa * np.asarray(rate_bps, dtype=float) * s_pow
     return float(p) if np.ndim(p) == 0 else p
 
 
@@ -161,14 +171,14 @@ def rrh_power(rp: RadioParams, p_out_w):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _bbu_floor(c: ComputeParams) -> float:
-    """Rate-independent part of the BBU power: idle floors plus the fixed load."""
-    return c.n_cores * c.p_core_min_w + delta_pb(c) * c.c0 * c.cpu_speed ** (c.beta - 1.0)
+def _bbu_floor(c: ComputeParams, n_cores):
+    """Rate-independent BBU power on n_cores cores: idle floors plus the fixed load."""
+    return n_cores * c.p_core_min_w + delta_pb(c) * c.c0 * c.cpu_speed ** (c.beta - 1.0)
 
 
 def static_power(c: ComputeParams, rp: RadioParams) -> float:
     """Rate-independent part of the VBS busy power (transmit power excluded)."""
-    return _bbu_floor(c) + rp.p_rf_w
+    return _bbu_floor(c, c.n_cores) + rp.p_rf_w
 
 
 def sleep_adjusted_power(c: ComputeParams, rp: RadioParams, arrival_rate: float) -> float:
@@ -199,9 +209,10 @@ def earth_busy_power(e: EarthParams, p_out_w):
 class BusyPowerProfile:
     """Coefficients of the shared busy-power shape plus the sleep-cycle
     constants. busy_power refuses rates beyond the link budget and above
-    max_rate_bps (the core capacity, with cpu_load's rounding slack)."""
+    max_rate_bps (the core capacity, with cpu_load's rounding slack). For
+    an array of core counts, base_w and max_rate_bps are arrays too."""
 
-    base_w: float
+    base_w: float | np.ndarray
     rate_coeff: float
     speed_factor: float
     rf_w: float
@@ -210,7 +221,7 @@ class BusyPowerProfile:
     bandwidth_hz: float
     sleep_power_w: float
     switch_energy_j: float
-    max_rate_bps: float = math.inf
+    max_rate_bps: float | np.ndarray = math.inf
 
     def __post_init__(self) -> None:
         if not (self.sleep_power_w >= 0 and self.switch_energy_j >= 0):
@@ -244,7 +255,7 @@ class BusyPowerProfile:
         p_out = tx_power_for_rate(self.gain, self.bandwidth_hz,
                                   np.where(unstable | link, 0.0, r))
         cores = r > self.max_rate_bps
-        code = np.zeros(np.shape(r), dtype=int)
+        code = np.zeros(np.shape(cores), dtype=int)
         if np.count_nonzero(unstable | link | cores):
             masks = {UnstableQueueError: unstable, LinkCapacityError: link,
                      InfeasibleLoadError: cores}
@@ -261,15 +272,17 @@ def raise_refusal(code, rates, profile: BusyPowerProfile, load: float | None = N
     offered load that an unstable rate's message names."""
     if np.count_nonzero(code):
         i = np.flatnonzero(code)[0]
-        rate, cls = float(np.ravel(rates)[i]), REFUSALS[np.ravel(code)[i]]
-        raise cls.at(load=load, rate=rate, capacity=profile.max_rate_bps,
-                     max_exponent=MAX_RATE_EXPONENT)
+        k, rate, capacity = (x.flat[i] for x in np.broadcast_arrays(code, rates, profile.max_rate_bps))
+        raise REFUSALS[k].at(load=load, rate=rate, capacity=capacity,
+                             max_exponent=MAX_RATE_EXPONENT)
 
 
-def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float) -> BusyPowerProfile:
-    """Profile for the virtualized station on c.n_cores cores."""
+def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float, n_cores=None) -> BusyPowerProfile:
+    """Profile for the virtualized station on n_cores cores, one count or a
+    numpy array of counts (c.n_cores when None)."""
+    n = c.n_cores if n_cores is None else check_cores(n_cores)
     return BusyPowerProfile(
-        base_w=_bbu_floor(c),
+        base_w=_bbu_floor(c, n),
         rate_coeff=delta_pb(c) * c.kappa,
         speed_factor=c.cpu_speed ** (c.beta - 1.0),
         rf_w=rp.p_rf_w,
@@ -278,7 +291,7 @@ def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float) -> BusyPowerProf
         bandwidth_hz=rp.bandwidth_hz,
         sleep_power_w=rp.p_sleep_w,
         switch_energy_j=rp.switch_energy_j,
-        max_rate_bps=((1.0 + _LOAD_SLACK) * c.n_cores * c.cpu_speed - c.c0) / c.kappa,
+        max_rate_bps=((1.0 + _LOAD_SLACK) * n * c.cpu_speed - c.c0) / c.kappa,
     )
 
 

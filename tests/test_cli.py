@@ -294,6 +294,9 @@ REFUSED = [
     (("sweep", "alpha=-1:1:3", "--cores", "2"), 2),
     (("optimize", "--cores", "0"), 2),
     (("sweep", "target_delay=nan:1:3"), 2),
+    (("sweep", "target_delay=-1:0:2", "--cores", "0"), 2),
+    # Far more steps than memory holds; the allocation fails at once.
+    (("sweep", "target_delay=1:2:100000000000"), 2),
     (("optimize", "--alpha", "1e400"), 2),
     (("power", "--rate", "1e400"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1e400"), 2),

@@ -307,6 +307,19 @@ def test_rate_for_delay():
     assert rate_for_delay(t, np.array([1.0, 0.37]))[0] == rate_for_delay(t, 1.0)
 
 
+def test_tradeoff_curve_makes_one_kernel_call(monkeypatch):
+    calls, kernel = [], optimize.cost
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(optimize, "cost", counted)
+    pts = tradeoff_curve(Scenario(), np.geomspace(0.01, 10.0, 30))
+    assert len({p.point.n_cores for p in pts if p.point is not None}) >= 3
+    assert len(calls) == 1
+
+
 def test_tradeoff_curve_statuses():
     sc = Scenario()
     pts = tradeoff_curve(sc, [-0.5, 0.01, 0.1, 0.4, 1.0], n_cores=2)

@@ -162,6 +162,23 @@ def test_profiles_survive_pickle():
         assert back.busy_power(5e7) == prof.busy_power(5e7)
 
 
+@pytest.mark.parametrize("bad", [[0, 1], [2.5], [1, math.nan], [math.inf]])
+def test_vbs_profile_refuses_arrays_of_counts_that_are_not_positive_integers(bad):
+    with pytest.raises(ValueError, match="n_cores must be a positive integer"):
+        vbs_profile(cores(1), RadioParams(), GAIN, np.array(bad))
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_scalar_and_one_element_array_counts_give_the_same_profile(n):
+    one = vbs_profile(cores(1), RadioParams(), GAIN, n)
+    arr = vbs_profile(cores(1), RadioParams(), GAIN, np.array([n]))
+    assert one == vbs_profile(cores(n), RadioParams(), GAIN)
+    for field in ("base_w", "max_rate_bps"):
+        assert np.shape(getattr(arr, field)) == (1,)
+        assert float(getattr(arr, field)[0]).hex() == float(getattr(one, field)).hex()
+    assert replace(arr, base_w=one.base_w, max_rate_bps=one.max_rate_bps) == one
+
+
 def test_array_support():
     rates = np.array([1e7, 2e7, 3e7])
     p = bbu_power(cores(1), rates)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbsenergy.errors import REFUSALS, UnstableQueueError
+from vbsenergy.errors import REFUSALS, InfeasibleLoadError, UnstableQueueError
 from vbsenergy.optimize import Scenario, evaluate_point, scenario_profile
 from vbsenergy.power import ComputeParams, EarthParams, RadioParams, earth_profile, vbs_profile
 from vbsenergy.queueing import TrafficParams, average_power, cost, queue_metrics
@@ -119,9 +119,10 @@ def _with_neighbours(x):
     file_size=st.floats(1e5, 1e8),
     n_cores=st.integers(1, 8),
     drawn=st.lists(st.floats(-1e9, 1e10), max_size=8),
+    counts=st.lists(st.integers(1, 64), min_size=1, max_size=8),
 )
 def test_kernel_grid_equals_its_single_rate_calls(alpha, arrival_rate, file_size,
-                                                  n_cores, drawn):
+                                                  n_cores, drawn, counts):
     sc = Scenario(traffic=TrafficParams(arrival_rate, file_size), alpha=alpha)
     prof = scenario_profile(sc, n_cores)
     edges = (0.0, -1.0, sc.traffic.offered_load_bps,
@@ -142,3 +143,20 @@ def test_kernel_grid_equals_its_single_rate_calls(alpha, arrival_rate, file_size
             with pytest.raises(REFUSALS[code]) as info:
                 evaluate_point(sc, r, n_cores)
             assert type(info.value) is REFUSALS[code]
+    # The count axis: each rate paired with its own count.
+    ns = np.resize(counts, rates.shape)
+    paired = cost(scenario_profile(sc, ns), sc.traffic, alpha, rates)
+    for i, (r, n) in enumerate(zip(rates.tolist(), ns.tolist())):
+        one = cost(scenario_profile(sc, n), sc.traffic, alpha, r)
+        assert int(one.code) == paired.code[i]
+        assert [float(f).hex() for f in one[1:]] == [float(f[i]).hex() for f in paired[1:]]
+
+
+def test_a_refusal_on_an_array_of_counts_names_its_own_capacity():
+    # 5e7 bit/s fits on 2 cores but not on 1, whose capacity is r_M(1).
+    sc = Scenario()
+    prof = scenario_profile(sc, np.array([2, 1]))
+    with pytest.raises(InfeasibleLoadError, match=r"core capacity 3\.71429e\+07 bit/s"):
+        average_power(prof, sc.traffic, np.array([5e7, 5e7]))
+    with pytest.raises(InfeasibleLoadError, match=r"core capacity 3\.71429e\+07 bit/s"):
+        prof.busy_power(5e7)
