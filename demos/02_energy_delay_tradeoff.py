@@ -24,10 +24,11 @@ def main() -> None:
     sc = Scenario()
 
     print("power along the delay curve (4 cores):")
-    for cp in tradeoff_curve(sc, np.linspace(0.15, 1.2, 8), n_cores=4):
-        p = cp.point
-        print(f"  target delay {cp.target_delay_s:5.2f} s -> rate {p.rate_bps/1e6:7.2f} "
-              f"Mbit/s, power {p.avg_power_w:7.3f} W")
+    delays = np.linspace(0.15, 1.2, 8)
+    _, curve = tradeoff_curve(sc, delays, n_cores=4)
+    for d, rate, power in zip(delays, curve.rate_bps, curve.avg_power_w):
+        print(f"  target delay {d:5.2f} s -> rate {rate/1e6:7.2f} "
+              f"Mbit/s, power {power:7.3f} W")
     r_star = energy_optimal_rate(sc, 4)
     d_star = queue_metrics(sc.traffic, r_star).mean_delay_s
     p_star = evaluate_point(sc, r_star, 4).avg_power_w
@@ -41,8 +42,10 @@ def main() -> None:
     res = energy_optimal_exists(big, 2)
     print(f"70 Mbit files: optimum exists? {bool(res)} (reason: {res.reason}, "
           f"size bound {res.file_size_bound/1e6:.1f} Mbit)")
-    for cp in tradeoff_curve(big, [3.0, 6.0, 12.0, 25.0, 50.0], n_cores=2):
-        print(f"  delay {cp.target_delay_s:5.1f} s -> power {cp.point.avg_power_w:7.3f} W")
+    delays = [3.0, 6.0, 12.0, 25.0, 50.0]
+    _, curve = tradeoff_curve(big, delays, n_cores=2)
+    for d, power in zip(delays, curve.avg_power_w):
+        print(f"  delay {d:5.1f} s -> power {power:7.3f} W")
     print("  (slowing down keeps paying off; the infimum sits at infinite delay)")
     print()
 

@@ -29,7 +29,6 @@ from .errors import ConfigError, InfeasibleError, refusal_status
 from .optimize import (
     JointResult,
     Scenario,
-    TradeoffPoint,
     best_rate_for_cores,
     cores_needed,
     earth_energy_optimal_rate,
@@ -43,7 +42,7 @@ from .power import earth_profile
 from .queueing import average_power, cost, queue_metrics
 from .results import write_rows
 from .simulate import SimConfig, validate_against_analytic
-from .units import parse_quantity
+from .units import COUNT_LIMIT, parse_quantity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("power", help="evaluate one operating point")
     sp.add_argument("--rate", required=True, metavar="RATE",
                     help="service rate, e.g. '50 Mbps'")
-    sp.add_argument("--cores", type=int, metavar="N",
+    sp.add_argument("--cores", dest="compute.n_cores", metavar="N",
                     help="core count (default: configured n_cores)")
     add_traffic_flags(sp)
     add_output_flag(sp)
@@ -102,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("optimize",
                         help="minimize average power plus alpha times queue length")
-    sp.add_argument("--cores", type=int, metavar="N",
+    sp.add_argument("--cores", metavar="N",
                     help="fix the core count instead of searching")
-    sp.add_argument("--cores-max", type=int, metavar="N",
+    sp.add_argument("--cores-max", dest="run.n_cores_max", metavar="N",
                     help="search limit (default: configured n_cores_max)")
     sp.add_argument("--verbose", action="store_true",
                     help="list every candidate on stderr")
@@ -116,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec", metavar="VAR=START:STOP:STEPS[:log]",
                     help=f"variable in {{{', '.join(SWEEP_VARS)}}}; 'log' for "
                          "a geometric grid; units are SI base units")
-    sp.add_argument("--cores", type=int, metavar="N",
+    sp.add_argument("--cores", metavar="N",
                     help="fix the core count instead of auto-sizing")
-    sp.add_argument("--cores-max", type=int, metavar="N",
+    sp.add_argument("--cores-max", dest="run.n_cores_max", metavar="N",
                     help="search limit for optimizing sweeps")
     add_traffic_flags(sp)
     add_output_flag(sp)
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="event simulation with analytic validation")
     sp.add_argument("--rate", required=True, metavar="RATE",
                     help="service rate, e.g. '50 Mbps'")
-    sp.add_argument("--cores", type=int, metavar="N",
+    sp.add_argument("--cores", dest="compute.n_cores", metavar="N",
                     help="core count (default: configured n_cores)")
     sp.add_argument("--seed", dest="run.seed", metavar="SEED", help="random seed")
     sp.add_argument("--arrivals", dest="run.arrivals", metavar="N",
@@ -171,29 +170,29 @@ def _scenario_tag(sc: Scenario) -> str:
             f"-alpha{sc.alpha:.6g}")
 
 
-def _cores(args, sc: Scenario) -> int:
-    """--cores, or the configured [compute] n_cores."""
-    return sc.compute.n_cores if args.cores is None else args.cores
+def _fixed_cores(args) -> int | None:
+    """The --cores of optimize and sweep, or None to search for the count."""
+    return None if args.cores is None else parse_quantity(args.cores, "count", where="--cores")
 
 
 def _out(path: str | None):
     return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
-def _row(sid: str, command: str, p: TradeoffPoint | None, status: str = "ok",
-         n_cores: int | None = None) -> tuple:
-    """An analytic row in COLUMNS order; a refused point (None) has a blank body."""
+def _row(sid: str, command: str, p, status: str = "ok", n_cores: int | None = None) -> tuple:
+    """An analytic row in COLUMNS order from a TradeoffPoint's seven fields,
+    the count as an int; a refused point (None) has a blank body."""
     if p is None:
         return (sid, command, None, n_cores, None, None, None, None, None,
                 "analytic", None, status)
-    return (sid, command, p.rate_bps, p.n_cores, p.rho, p.mean_queue_len,
-            p.mean_delay_s, p.avg_power_w, p.cost_z, "analytic", None, status)
+    rate, n, *fields = p
+    return (sid, command, rate, int(n), *fields, "analytic", None, status)
 
 
 def cmd_power(args, settings: Settings, fh) -> int:
     sc = settings.scenario
     rate = parse_quantity(args.rate, "bitrate", where="--rate")
-    point = evaluate_point(sc, rate, _cores(args, sc))
+    point = evaluate_point(sc, rate, sc.compute.n_cores)
     write_rows(fh, [_row(_scenario_tag(sc), "power", point)])
     return EXIT_OK
 
@@ -207,8 +206,7 @@ def _best_point(sc: Scenario, cores: int | None, cores_max: int) -> JointResult:
 
 
 def cmd_optimize(args, settings: Settings, fh) -> int:
-    cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
-    result = _best_point(settings.scenario, args.cores, cores_max)
+    result = _best_point(settings.scenario, _fixed_cores(args), settings.n_cores_max)
     if args.verbose:
         for c in result.candidates:
             print(f"candidate: n_cores={c.n_cores} rate={c.rate_bps:.6g} "
@@ -253,18 +251,19 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
     var, values = _parse_sweep_spec(args.spec)
     if var == "n_cores":
         for v in values:
-            if v != int(v) or v < 1:
-                raise ConfigError(f"n_cores sweep needs positive integers, got {v:g}")
-    cores_max = settings.n_cores_max if args.cores_max is None else args.cores_max
+            if not 1 <= v < COUNT_LIMIT or v != int(v):
+                raise ConfigError(f"n_cores sweep needs integers in [1, 2**53), got {v:g}")
+    fixed = _fixed_cores(args)
     rows = []
 
     if var == "target_delay":
-        for cp in tradeoff_curve(sc, values, n_cores=args.cores):
-            sid = f"{base}[target_delay={cp.target_delay_s:.6g}]"
-            rows.append(_row(sid, "sweep", cp.point, cp.status, args.cores))
+        status, points = tradeoff_curve(sc, values, n_cores=fixed)
+        for d, s, *p in zip(values, status.tolist(), *(f.tolist() for f in points)):
+            rows.append(_row(f"{base}[target_delay={d:.6g}]", "sweep",
+                             p if s == "ok" else None, s, fixed))
     else:
         for v in values:
-            sc_v, cores, label = sc, args.cores, f"{v:.6g}"
+            sc_v, cores, label = sc, fixed, f"{v:.6g}"
             if var == "n_cores":
                 cores = int(v)
                 label = str(cores)
@@ -276,7 +275,8 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
                 sc_v = replace(sc, traffic=replace(sc.traffic, file_size_bits=v))
             sid = f"{base}[{var}={label}]"
             try:
-                rows.append(_row(sid, "sweep", _best_point(sc_v, cores, cores_max).point))
+                point = _best_point(sc_v, cores, settings.n_cores_max).point
+                rows.append(_row(sid, "sweep", point))
             except InfeasibleError as exc:
                 rows.append(_row(sid, "sweep", None, exc.status, cores))
     write_rows(fh, rows)
@@ -308,16 +308,16 @@ def cmd_compare(args, settings: Settings, fh) -> int:
                               _COMPARE_DELAY_POINTS)
         rates = rate_for_delay(t, delays)
         c = cost(cbs, t, 0.0, rates)
-        for cp, rate, code, p_cbs in zip(tradeoff_curve(sc, delays), rates.tolist(),
-                                         c.code.tolist(), c.power_w.tolist()):
-            d, vbs = cp.target_delay_s, cp.point
+        status, vbs = tradeoff_curve(sc, delays)
+        for d, rate, s, n, p_vbs, code, p_cbs in zip(
+                delays.tolist(), rates.tolist(), status.tolist(), vbs.n_cores.tolist(),
+                vbs.avg_power_w.tolist(), c.code.tolist(), c.power_w.tolist()):
             sid = f"{base}[delay={d:.6g}]"
-            if vbs is None or code:
-                status = cp.status if vbs is None else refusal_status(code)
-                rows.append((sid, d, rate, None, None, None, None, status))
+            s = refusal_status(code) if s == "ok" else s  # the baseline may refuse
+            if s == "ok":
+                rows.append((sid, d, rate, int(n), p_vbs, p_cbs, 1.0 - p_vbs / p_cbs, "ok"))
             else:
-                rows.append((sid, d, rate, vbs.n_cores, vbs.avg_power_w, p_cbs,
-                             1.0 - vbs.avg_power_w / p_cbs, "ok"))
+                rows.append((sid, d, rate, None, None, None, None, s))
     write_rows(fh, rows, header=COMPARE_COLUMNS)
     return EXIT_OK
 
@@ -325,7 +325,7 @@ def cmd_compare(args, settings: Settings, fh) -> int:
 def cmd_simulate(args, settings: Settings, fh) -> int:
     sc = settings.scenario
     rate = parse_quantity(args.rate, "bitrate", where="--rate")
-    n = _cores(args, sc)
+    n = sc.compute.n_cores
     profile = scenario_profile(sc, n)
     cfg = SimConfig(
         traffic=sc.traffic,

@@ -26,15 +26,15 @@ ENV_CONFIG = "VBSENERGY_CONFIG"
 # defaults in table order, and a key whose default is None may be absent.
 # Units may be written with suffixes (GHz, W, J, km, MB, dB, %); bare
 # numbers are SI base units (Hz, W, J, m, s, bits), and file sizes are
-# decimal: 1 MB = 8e6 bits. "int", "bool" and "choice" are handled
-# locally; every other kind goes through parse_quantity. A section's
+# decimal: 1 MB = 8e6 bits. "bool" and "choice" are handled locally;
+# every other kind goes through parse_quantity. A section's
 # fields are keyword arguments of the object it builds; [run] alpha is a
 # Scenario field and the other [run] fields are Settings fields.
 # earth.enabled and earth.switch_energy set no field, so build_settings
 # reads them by name; an absent earth.switch_energy falls back to the
 # radio switch energy so both baselines pay the same wake cost.
 _REGISTRY: dict[tuple[str, str], tuple[str, str | None, str | None]] = {
-    ("compute", "n_cores"): ("int", "n_cores", "1"),
+    ("compute", "n_cores"): ("count", "n_cores", "1"),
     ("compute", "cpu_speed"): ("frequency", "cpu_speed", "2 GHz"),
     ("compute", "ref_speed"): ("frequency", "ref_speed", "2 GHz"),
     ("compute", "p_core_max"): ("power", "p_core_max_w", "20 W"),
@@ -54,15 +54,15 @@ _REGISTRY: dict[tuple[str, str], tuple[str, str | None, str | None]] = {
     ("traffic", "arrival_rate"): ("arrival", "arrival_rate", "1 /s"),
     ("traffic", "file_size"): ("datasize", "file_size_bits", "2 MB"),
     ("earth", "enabled"): ("bool", None, "true"),
-    ("earth", "n_trx"): ("int", "n_trx", "1"),
+    ("earth", "n_trx"): ("count", "n_trx", "1"),
     ("earth", "p0"): ("power", "p0_w", "84 W"),
     ("earth", "delta_p"): ("dimensionless", "delta_p", "2.8"),
     ("earth", "sleep_power"): ("power", "p_sleep_w", "56 W"),
     ("earth", "switch_energy"): ("energy", None, None),
     ("run", "alpha"): ("dimensionless", "alpha", "0"),
-    ("run", "n_cores_max"): ("int", "n_cores_max", "8"),
-    ("run", "seed"): ("int", "seed", "12345"),
-    ("run", "arrivals"): ("int", "arrivals", "100000"),
+    ("run", "n_cores_max"): ("count", "n_cores_max", "8"),
+    ("run", "seed"): ("count", "seed", "12345"),
+    ("run", "arrivals"): ("count", "arrivals", "100000"),
     ("run", "warmup_fraction"): ("fraction", "warmup_fraction", "0.1"),
     ("run", "size_distribution"): ("choice", "size_distribution", "exponential"),
 }
@@ -179,15 +179,6 @@ def _value(text: ConfigText, section: str, key: str):
         if choice not in SIZE_DISTRIBUTIONS:
             raise ConfigError(f"{where}: {choice!r} not in {SIZE_DISTRIBUTIONS}")
         return choice
-    if kind == "int":
-        value = parse_quantity(raw, "count", where=where)
-        if value != int(value):
-            raise ConfigError(f"{where}: expected an integer, got {raw!r}")
-        # From 2**53 on a float no longer holds every integer, so the
-        # parsed value may differ from the text.
-        if abs(value) >= 2.0 ** 53:
-            raise ConfigError(f"{where}: integer magnitude must be below 2**53, got {raw!r}")
-        return int(value)
     return parse_quantity(raw, kind, where=where)
 
 

@@ -26,12 +26,14 @@ candidate collected so far.
 
 Operating points are evaluated by the cost kernel queueing.cost:
 evaluate_point on one rate, raising its refusal, and tradeoff_curve in
-one call over all its (rate, core count) pairs, flagging refused points.
+one call over all its (rate, core count) pairs, returning each point's
+status and one TradeoffPoint of arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +77,9 @@ _BISECT_RTOL = 1e-12
 _MAX_BRACKET_DOUBLINGS = 2100
 _MAX_BISECT_ITER = 500
 
+# A curve point's status by its refusal code, and invalid-delay after them.
+_CURVE_STATUSES = np.array([*map(refusal_status, range(len(REFUSALS))), "invalid-delay"])
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -96,10 +101,11 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One evaluated operating point on the energy-delay tradeoff; the
-    fields after n_cores are those of queueing.Cost after code."""
+class TradeoffPoint(NamedTuple):
+    """One evaluated operating point on the energy-delay tradeoff, or the
+    points of a curve as arrays, one entry per point. The fields after
+    n_cores are those of queueing.Cost after code; the field order is
+    the CSV column order."""
 
     rate_bps: float
     n_cores: int
@@ -108,15 +114,6 @@ class TradeoffPoint:
     mean_delay_s: float
     avg_power_w: float
     cost_z: float
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Tradeoff-curve sample; point is None when status is not 'ok'."""
-
-    target_delay_s: float
-    status: str
-    point: TradeoffPoint | None
 
 
 @dataclass(frozen=True)
@@ -421,13 +418,16 @@ def rate_for_delay(t: TrafficParams, target_delay_s):
         return t.offered_load_bps + t.file_size_bits / target_delay_s
 
 
-def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list[CurvePoint]:
+def tradeoff_curve(sc: Scenario, delay_grid,
+                   n_cores: int | None = None) -> tuple[np.ndarray, TradeoffPoint]:
     """Evaluate the scenario along a grid of target mean delays.
 
-    n_cores fixes the core count; None picks the smallest sufficient
-    count per point. The cost kernel runs once, on a profile that holds
-    each point's count. A delay that is not positive is an invalid-delay
-    point, and refused points are flagged with their status, not dropped.
+    Returns (status, points): a str array with each delay's status, and
+    one TradeoffPoint whose fields are arrays over the delays; the fields
+    of a point that is not "ok" mean nothing. n_cores fixes the core
+    count; None picks the smallest sufficient count per point, as floats.
+    The cost kernel runs once, on a profile that holds each point's
+    count. A delay that is not positive is an invalid-delay point.
     """
     delays = np.asarray(delay_grid, dtype=float)
     valid = delays > 0
@@ -438,10 +438,5 @@ def tradeoff_curve(sc: Scenario, delay_grid, n_cores: int | None = None) -> list
     c = cost(scenario_profile(sc, np.where(finite, cores, 1)), sc.traffic, sc.alpha, rates)
     # Points that no finite core count decodes are over-compute-cap.
     codes = np.where(finite, c.code, REFUSALS.index(InfeasibleLoadError))
-    curve = []
-    for d, ok, rate, n, code, *fields in zip(delays.tolist(), valid.tolist(), rates.tolist(),
-                                             cores.tolist(), codes.tolist(),
-                                             *(f.tolist() for f in c[1:])):
-        point = TradeoffPoint(rate, int(n), *fields) if ok and not code else None
-        curve.append(CurvePoint(d, refusal_status(code) if ok else "invalid-delay", point))
-    return curve
+    status = _CURVE_STATUSES[np.where(valid, codes, len(REFUSALS))]
+    return status, TradeoffPoint(rates, cores, *c[1:])

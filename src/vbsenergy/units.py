@@ -15,6 +15,11 @@ from .errors import ConfigError
 BITS_PER_BYTE = 8.0
 BITS_PER_MB = 8e6
 
+# A count is an integer below this in magnitude: from 2**53 on a float
+# no longer holds every integer, so the parsed value may differ from
+# the text.
+COUNT_LIMIT = 2.0 ** 53
+
 
 def db_to_linear(value_db: float) -> float:
     """Convert a dB ratio to a linear ratio."""
@@ -63,7 +68,8 @@ def parse_quantity(text: str, kind: str, where: str = "value") -> float:
     ``kind`` selects the accepted unit family. dB-valued kinds require
     the explicit suffix (a bare number would be ambiguous) and return
     the dB figure unchanged. ``fraction`` accepts a percentage or a
-    bare value in [0, 1]. A result that is not finite is refused.
+    bare value in [0, 1]. ``count`` gives an int of magnitude below
+    2**53. A result that is not finite is refused.
     """
     m = _NUMBER_RE.match(text)
     if not m:
@@ -97,4 +103,10 @@ def parse_quantity(text: str, kind: str, where: str = "value") -> float:
         value *= table[suffix]
     if not math.isfinite(value):
         raise ConfigError(f"{where}: {text!r} is not a finite quantity")
+    if kind == "count":
+        if value != int(value):
+            raise ConfigError(f"{where}: expected an integer, got {text!r}")
+        if abs(value) >= COUNT_LIMIT:
+            raise ConfigError(f"{where}: integer magnitude must be below 2**53, got {text!r}")
+        return int(value)
     return value

@@ -126,6 +126,14 @@ def test_sweep_flags_infeasible_points(capsys):
     assert "[target_delay=" in rows[0]["scenario_id"]
 
 
+def test_sweep_prints_core_counts_as_integers(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "target_delay=0.5:1:2", "--cores", "1000000000000")
+    assert code == 0
+    assert [r["n_cores"] for r in parse_rows(out)] == ["1000000000000"] * 2
+    code, out, _ = run_cli(capsys, "sweep", "target_delay=0.5:1:2")  # sized per point
+    assert [r["n_cores"] for r in parse_rows(out)] == ["2", "1"]
+
+
 def test_sweep_cores(capsys):
     code, out, _ = run_cli(capsys, "sweep", "n_cores=1:4:4")
     assert code == 0
@@ -302,6 +310,10 @@ REFUSED = [
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1e400"), 2),
     (("sweep", "alpha=1:1e400:3"), 2),
     (("optimize", "--cores-max", "0"), 2),
+    # Core counts past 2**53, where a float no longer holds every integer.
+    (("sweep", "target_delay=0.1:1:3", "--cores", "100000000000000000000"), 2),
+    (("power", "--rate", "50Mbps", "--cores", "100000000000000000000"), 2),
+    (("sweep", "n_cores=1:9007199254740992:2"), 2),
     (("sweep", "lambda=0.5:1.5:3", "--cores-max", "0"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--seed", "-1"), 2),
@@ -435,7 +447,8 @@ def test_sweep_flags_a_delay_no_finite_core_count_meets(capsys):
 FUZZ_OUTPUTS = (os.devnull, "/nonexistent/x.csv")
 FUZZ_TRACES = (os.devnull, "/nonexistent/t.tsv")
 FUZZ_KEYS = sorted(_REGISTRY)
-FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "1e400", "nan", "junk", "1", "2", "3e7")
+FUZZ_VALUES = ("0", "-1", "1e-300", "1e300", "1e400", "nan", "junk", "1", "2", "3e7",
+               "100000000000000000000")
 _TRAFFIC_FLAGS = ("--alpha", "--lambda", "--file-size")
 FUZZ_FLAGS = {
     "power": ("--cores", "--output", *_TRAFFIC_FLAGS),

@@ -1,10 +1,20 @@
 """The narrative demos run end to end against the current API."""
+import hashlib
 import runpy
 from pathlib import Path
 
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+# sha256 of each demo's stdout, recorded before tradeoff_curve returned columns.
+STDOUT_SHA256 = {
+    "01_power_model": "ba1a5de0d9ced276a31d3471beebaa5a325bc63d6b71e5979e04560a148cfc12",
+    "02_energy_delay_tradeoff": "e2c2a5d4ebd114bc04cedb136c24add830e8b1a0a77ae34d842e951bc42deeba",
+    "03_vbs_vs_cbs": "2733a86b840db8bbb77bf0ec7a8468971ffb640da22707d76b2cad0361869056",
+    "04_joint_optimization": "a68de0e086c586c3b00a31ee40ce1eaadc1804d2c29eb7e7017eaedca1ff4684",
+    "05_simulation_check": "8d4ad2258bb782b6c4abce46e5b57242838d0b81587a78e459ab7ecbf1a32b76",
+}
 
 
 def test_all_five_demos_found():
@@ -14,4 +24,6 @@ def test_all_five_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[path.stem]

@@ -315,31 +315,29 @@ def test_tradeoff_curve_makes_one_kernel_call(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(optimize, "cost", counted)
-    pts = tradeoff_curve(Scenario(), np.geomspace(0.01, 10.0, 30))
-    assert len({p.point.n_cores for p in pts if p.point is not None}) >= 3
+    status, pts = tradeoff_curve(Scenario(), np.geomspace(0.01, 10.0, 30))
+    assert len(set(pts.n_cores[status == "ok"].tolist())) >= 3
     assert len(calls) == 1
 
 
 def test_tradeoff_curve_statuses():
     sc = Scenario()
-    pts = tradeoff_curve(sc, [-0.5, 0.01, 0.1, 0.4, 1.0], n_cores=2)
-    assert [p.status for p in pts] == [
+    status, pts = tradeoff_curve(sc, [-0.5, 0.01, 0.1, 0.4, 1.0], n_cores=2)
+    assert status.tolist() == [
         "invalid-delay", "over-link-cap", "over-compute-cap", "ok", "ok",
     ]
-    assert all(p.point is None for p in pts[:3])
-    assert pts[3].point.mean_delay_s == pytest.approx(0.4, rel=1e-12)
+    assert pts.mean_delay_s[3] == pytest.approx(0.4, rel=1e-12)
     # automatic core sizing removes the compute cap but not the link cap
-    auto = tradeoff_curve(sc, [0.1, 0.4, 1.0])
-    assert all(p.status == "ok" for p in auto)
-    assert auto[0].point.n_cores > 2
+    status, auto = tradeoff_curve(sc, [0.1, 0.4, 1.0])
+    assert all(s == "ok" for s in status)
+    assert auto.n_cores[0] > 2
 
 
 @pytest.mark.parametrize("n_cores", [2, None])
 def test_tradeoff_curve_flags_every_delay_that_is_not_positive(n_cores):
     delays = [math.nan, 0.0, -0.0, -1.0, -math.inf]
-    pts = tradeoff_curve(Scenario(), delays, n_cores=n_cores)
-    assert [p.status for p in pts] == ["invalid-delay"] * len(delays)
-    assert all(p.point is None for p in pts)
+    status, _ = tradeoff_curve(Scenario(), delays, n_cores=n_cores)
+    assert status.tolist() == ["invalid-delay"] * len(delays)
 
 
 def test_gap_is_minus_infinity_where_the_cost_rises_off_the_lambert_branch():
@@ -439,3 +437,33 @@ def test_existence_holds_exactly_when_the_closed_form_returns(sc, n_cores):
         assert not res.exists and res.reason == exc.reason
     else:
         assert res.exists and res.reason is None
+
+
+CURVE_DELAYS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.nan, math.inf, 1e-300, 5e-324,
+                     1e300, 1e-3, 0.4, 10.0]),
+    st.floats(1e-3, 1e3),
+    st.floats(),
+)
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios(), delays=st.lists(CURVE_DELAYS, min_size=1, max_size=8),
+       n_cores=st.none() | st.integers(1, 8))
+def test_the_curve_equals_its_single_points(sc, delays, n_cores):
+    # Each entry is what one evaluate_point call gives at the delay's
+    # rate, on n_cores or on the smallest count that decodes the rate.
+    status, pts = tradeoff_curve(sc, delays, n_cores=n_cores)
+    for i, d in enumerate(delays):
+        if not d > 0:
+            assert status[i] == "invalid-delay"
+            continue
+        rate = rate_for_delay(sc.traffic, d)
+        try:
+            want = evaluate_point(sc, rate, cores_needed(sc.compute, rate)
+                                  if n_cores is None else n_cores)
+        except InfeasibleError as exc:
+            assert status[i] == exc.status
+        else:
+            assert status[i] == "ok"
+            assert [float(f[i]).hex() for f in pts] == [float(f).hex() for f in want]
