@@ -10,10 +10,11 @@ reads the settings and then opens --output, once each and before any
 work, so a refused command leaves the file empty.
 
 Exit codes: 0 success, 2 usage or configuration error, a value outside
-the model's domain, or an output or trace file that cannot be opened, 3
-infeasible or unstable operating point, 4 simulation failed its analytic
-validation. Errors print one ``error:`` line on stderr;
-vbsenergy.errors decides which code and status each refusal gets.
+the model's domain, an output or trace file that cannot be opened, or an
+input whose arrays do not fit in memory, 3 infeasible or unstable
+operating point, 4 simulation failed its analytic validation. Errors
+print one ``error:`` line on stderr; vbsenergy.errors decides which code
+and status each refusal gets.
 """
 from __future__ import annotations
 
@@ -238,11 +239,13 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
         return name, [start]
     if len(parts) == 4 and (start <= 0 or stop <= 0):
         raise ConfigError("log grids need positive endpoints")
-    try:
-        grid_fn = np.geomspace if len(parts) == 4 else np.linspace
-        return name, [float(v) for v in grid_fn(start, stop, steps)]
-    except MemoryError as exc:
-        raise ConfigError(f"sweep grid {grid!r}: {steps} steps do not fit in memory") from exc
+    grid_fn = np.geomspace if len(parts) == 4 else np.linspace
+    # Endpoints of opposite sign near the float limit overflow their span.
+    with np.errstate(all="ignore"):
+        values = grid_fn(start, stop, steps)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"sweep grid {grid!r} leaves the float range")
+    return name, values.tolist()
 
 
 def cmd_sweep(args, settings: Settings, fh) -> int:
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
         settings = _settings(args)
         with _out(getattr(args, "output", None)) as fh:
             return args.func(args, settings, fh)
-    except (InfeasibleError, ConfigError, ValueError, OSError) as exc:
+    except (InfeasibleError, ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_USAGE
 

@@ -28,8 +28,10 @@ ENV_CONFIG = "VBSENERGY_CONFIG"
 # numbers are SI base units (Hz, W, J, m, s, bits), and file sizes are
 # decimal: 1 MB = 8e6 bits. "bool" and "choice" are handled locally;
 # every other kind goes through parse_quantity. A section's
-# fields are keyword arguments of the object it builds; [run] alpha is a
-# Scenario field and the other [run] fields are Settings fields.
+# fields are keyword arguments of the object it builds, which checks
+# them; the [link] dB figures stay in dB until LinkBudget converts them.
+# [run] alpha is a Scenario field and the other [run] fields are
+# Settings fields.
 # earth.enabled and earth.switch_energy set no field, so build_settings
 # reads them by name; an absent earth.switch_energy falls back to the
 # radio switch energy so both baselines pay the same wake cost.
@@ -193,7 +195,7 @@ def build_settings(text: ConfigText) -> Settings:
     """Parse and assemble the text map into parameter objects."""
     try:
         compute = ComputeParams(**_fields(text, "compute"))
-        link = LinkBudget.from_db(**_fields(text, "link"))
+        link = LinkBudget(**_fields(text, "link"))
         # The radio front end shares the link bandwidth by construction.
         radio = RadioParams(**_fields(text, "radio"), bandwidth_hz=link.bandwidth_hz)
         traffic = TrafficParams(**_fields(text, "traffic"))
@@ -204,8 +206,6 @@ def build_settings(text: ConfigText) -> Settings:
             earth_switch = radio.switch_energy_j
         run = _fields(text, "run")
         alpha = run.pop("alpha")
-        if alpha < 0:
-            raise ConfigError("[run] alpha: must be nonnegative")
         settings = Settings(
             text=text,
             scenario=Scenario(compute, radio, link, traffic, alpha),

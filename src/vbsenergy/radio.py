@@ -37,73 +37,48 @@ def path_loss_db(distance_m: float, carrier_freq_hz: float = _REF_CARRIER_HZ) ->
         raise ValueError("distance must be positive")
     if not carrier_freq_hz > 0:
         raise ValueError("carrier frequency must be positive")
-    loss = 128.1 + 37.6 * math.log10(distance_m / 1000.0)
-    if carrier_freq_hz != _REF_CARRIER_HZ:
-        loss += 20.0 * math.log10(carrier_freq_hz / _REF_CARRIER_HZ)
-    return loss
-
-
-def path_loss_linear(distance_m: float, carrier_freq_hz: float = _REF_CARRIER_HZ) -> float:
-    """Linear path loss factor (always > 1 at macro distances)."""
-    return db_to_linear(path_loss_db(distance_m, carrier_freq_hz))
+    return (128.1 + 37.6 * math.log10(distance_m / 1000.0)
+            + 20.0 * math.log10(carrier_freq_hz / _REF_CARRIER_HZ))
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Cell-edge link parameters, stored linear.
+    """Cell-edge link parameters; noise figure and noise density in dB.
 
-    channel_gain is derived once at construction:
+    channel_gain is derived once at construction, in 1/W:
     g = 1 / (path_loss * noise_figure * noise_density * bandwidth),
-    in 1/W.
+    each factor linear; the dB figures are converted here and only here.
     """
 
     carrier_freq_hz: float = _REF_CARRIER_HZ
     cell_radius_m: float = 500.0
-    noise_figure: float = db_to_linear(9.0)
-    noise_density_w_per_hz: float = dbm_per_hz_to_w_per_hz(-174.0)
+    noise_figure_db: float = 9.0
+    noise_density_dbm_hz: float = -174.0
     bandwidth_hz: float = 20e6
     channel_gain: float = field(init=False)
 
     def __post_init__(self) -> None:
+        try:
+            noise_figure = db_to_linear(self.noise_figure_db)
+            noise_density = dbm_per_hz_to_w_per_hz(self.noise_density_dbm_hz)
+        except OverflowError:
+            raise ValueError("noise figure and density must be inside the float range") from None
         if not self.cell_radius_m > 0:
             raise ValueError("cell radius must be positive")
-        if not self.noise_figure >= 1.0:
-            raise ValueError("linear noise figure must be >= 1")
-        if not self.noise_density_w_per_hz > 0:
+        if not noise_figure >= 1.0:
+            raise ValueError("noise figure must be >= 0 dB")
+        if not noise_density > 0:
             raise ValueError("noise density must be positive")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth must be positive")
         try:
-            loss = path_loss_linear(self.cell_radius_m, self.carrier_freq_hz)
-            g = 1.0 / (loss * self.noise_figure * self.noise_density_w_per_hz * self.bandwidth_hz)
+            loss = db_to_linear(path_loss_db(self.cell_radius_m, self.carrier_freq_hz))
+            g = 1.0 / (loss * noise_figure * noise_density * self.bandwidth_hz)
         except (OverflowError, ZeroDivisionError):
             g = 0.0
         if not 0.0 < g < math.inf:
             raise ValueError("link parameters must give a positive finite channel gain")
         object.__setattr__(self, "channel_gain", g)
-
-    @classmethod
-    def from_db(
-        cls,
-        carrier_freq_hz: float = _REF_CARRIER_HZ,
-        cell_radius_m: float = 500.0,
-        noise_figure_db: float = 9.0,
-        noise_density_dbm_hz: float = -174.0,
-        bandwidth_hz: float = 20e6,
-    ) -> "LinkBudget":
-        """Build from the usual dB-valued inputs, converting exactly once."""
-        try:
-            noise_figure = db_to_linear(noise_figure_db)
-            noise_density = dbm_per_hz_to_w_per_hz(noise_density_dbm_hz)
-        except OverflowError:
-            raise ValueError("noise figure and density must be inside the float range") from None
-        return cls(
-            carrier_freq_hz=carrier_freq_hz,
-            cell_radius_m=cell_radius_m,
-            noise_figure=noise_figure,
-            noise_density_w_per_hz=noise_density,
-            bandwidth_hz=bandwidth_hz,
-        )
 
 
 def shannon_rate(gain: float, bandwidth_hz: float, p_out_w):

@@ -2,8 +2,8 @@
 
 Internally everything is SI: watts, joules, hertz, meters, seconds, and
 bits. File sizes use decimal megabytes, so 1 MB = 8e6 bits. Decibel
-quantities are converted to linear exactly once, at parse time or at
-link-budget construction, and never stored in dB.
+figures are parsed and kept as given, in dB, and converted to linear
+exactly once, when a LinkBudget is built.
 """
 from __future__ import annotations
 

@@ -303,8 +303,13 @@ REFUSED = [
     (("optimize", "--cores", "0"), 2),
     (("sweep", "target_delay=nan:1:3"), 2),
     (("sweep", "target_delay=-1:0:2", "--cores", "0"), 2),
-    # Far more steps than memory holds; the allocation fails at once.
+    # Far more steps or arrivals than memory holds; the allocation fails
+    # at once.
     (("sweep", "target_delay=1:2:100000000000"), 2),
+    (("simulate", "--rate", "50Mbps", "--cores", "2", "--arrivals", "9000000000000000"), 2),
+    # Finite endpoints of opposite sign whose span overflows.
+    (("sweep", "n_cores=1e308:-1e308:3"), 2),
+    (("sweep", "target_delay=1e308:-1e308:3"), 2),
     (("optimize", "--alpha", "1e400"), 2),
     (("power", "--rate", "1e400"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1e400"), 2),

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vbsenergy.config import apply_override, build_settings, default_text
 from vbsenergy.radio import (
     LinkBudget,
     path_loss_db,
-    path_loss_linear,
     shannon_rate,
     tx_power_for_rate,
 )
+from vbsenergy.units import db_to_linear
 
 # Cell-edge figures at the default link: 0.5 km, 2 GHz, 9 dB noise
 # figure, -174 dBm/Hz noise density, 20 MHz. Expected values were
@@ -22,7 +25,7 @@ EDGE_GAIN = 3.3177433551574707
 
 def test_path_loss_at_cell_edge():
     assert path_loss_db(500.0) == pytest.approx(EDGE_LOSS_DB, rel=1e-14)
-    assert path_loss_linear(500.0) == pytest.approx(EDGE_LOSS_LIN, rel=1e-12)
+    assert db_to_linear(path_loss_db(500.0)) == pytest.approx(EDGE_LOSS_LIN, rel=1e-12)
 
 
 def test_path_loss_distance_slope():
@@ -39,8 +42,8 @@ def test_carrier_shift():
 
 
 def test_link_budget_validation():
-    for field in ("carrier_freq_hz", "cell_radius_m", "noise_figure",
-                  "noise_density_w_per_hz", "bandwidth_hz"):
+    for field in ("carrier_freq_hz", "cell_radius_m", "noise_figure_db",
+                  "noise_density_dbm_hz", "bandwidth_hz"):
         with pytest.raises(ValueError):
             LinkBudget(**{field: math.nan})
     # The path loss, and so the gain, leaves the float range.
@@ -50,14 +53,14 @@ def test_link_budget_validation():
             LinkBudget(**kwargs)
     for kwargs in ({"noise_figure_db": 1e300}, {"noise_density_dbm_hz": 1e300}):
         with pytest.raises(ValueError):
-            LinkBudget.from_db(**kwargs)
+            LinkBudget(**kwargs)
 
 
 def test_default_link_gain():
     link = LinkBudget()
     assert link.channel_gain == pytest.approx(EDGE_GAIN, rel=1e-12)
     # building from dB figures is the same budget
-    via_db = LinkBudget.from_db(noise_figure_db=9.0, noise_density_dbm_hz=-174.0)
+    via_db = LinkBudget(noise_figure_db=9.0, noise_density_dbm_hz=-174.0)
     assert via_db.channel_gain == link.channel_gain
 
 
@@ -68,6 +71,29 @@ def test_gain_chain_consistency():
     n0 = 10.0 ** ((-174.0 - 30.0) / 10.0)
     expect = 1.0 / (loss * nf * n0 * 20e6)
     assert LinkBudget().channel_gain == pytest.approx(expect, rel=1e-12)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(radius=st.floats(10.0, 5e4), carrier=st.floats(1e8, 1e11),
+       nf_db=st.floats(0.0, 30.0), n0_dbm_hz=st.floats(-200.0, -100.0),
+       bandwidth=st.floats(1e3, 1e9))
+def test_every_link_gain_follows_the_db_chain(radius, carrier, nf_db, n0_dbm_hz, bandwidth):
+    link = LinkBudget(carrier_freq_hz=carrier, cell_radius_m=radius, noise_figure_db=nf_db,
+                      noise_density_dbm_hz=n0_dbm_hz, bandwidth_hz=bandwidth)
+    loss_db = 128.1 + 37.6 * math.log10(radius / 1000.0) + 20.0 * math.log10(carrier / 2e9)
+    expect = 1.0 / (10.0 ** (loss_db / 10.0) * 10.0 ** (nf_db / 10.0)
+                    * 10.0 ** ((n0_dbm_hz - 30.0) / 10.0) * bandwidth)
+    assert link.channel_gain == pytest.approx(expect, rel=1e-12)
+    # The same figures as [link] settings build the same budget.
+    text = default_text()
+    for key, value in (("carrier_frequency", f"{carrier!r} Hz"),
+                       ("cell_radius", f"{radius!r} m"),
+                       ("noise_figure", f"{nf_db!r} dB"),
+                       ("noise_density", f"{n0_dbm_hz!r} dBm/Hz"),
+                       ("bandwidth", f"{bandwidth!r} Hz")):
+        apply_override(text, "link", key, value)
+    configured = build_settings(text).scenario.link
+    assert configured.channel_gain.hex() == link.channel_gain.hex()
 
 
 def test_shannon_rate_value():
