@@ -1,6 +1,6 @@
 """Energy-delay analysis of virtual base stations.
 
-A small numpy/scipy library around three pieces: a power model whose
+A small numpy library around three pieces: a power model whose
 baseband draw scales with the number of provisioned cores and the
 served rate, a processor-sharing queue with sleep cycles on top of it,
 and optimizers that pick the service rate and core count minimizing

@@ -53,6 +53,35 @@ _PARETO_SPAN = 1e3
 N_BATCHES = 20
 CONFIDENCE = 0.95
 
+# Two-sided Student-t quantiles by confidence level, the entry at index
+# df - 1 for df 1 to N_BATCHES - 1: a batch series has at most N_BATCHES
+# values, fewer when empty batches are dropped. Each entry is
+# float(scipy.special.stdtrit(df, 0.5 + confidence / 2)), the function
+# scipy.stats.t.ppf calls, generated with scipy 1.17.1 and written as its
+# repr, which reads back to the same bits. The table keeps scipy out of
+# the runtime; tests/test_simulate.py checks every entry against scipy.
+_T_QUANTILES: dict[float, tuple[float, ...]] = {
+    0.95: (
+        12.706204736174694, 4.302652729749462, 3.1824463052837078,
+        2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+        2.364624251592784, 2.306004135204166, 2.262157162798205,
+        2.228138851986274, 2.200985160091639, 2.1788128296672284,
+        2.1603686564627913, 2.144786687917804, 2.131449545559776,
+        2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+        2.0930240544083087,
+    ),
+    0.99: (
+        63.656741162871526, 9.924843200918287, 5.840909309733355,
+        4.604094871349992, 4.032142983555228, 3.7074280213248065,
+        3.4994832973504924, 3.355387331333395, 3.249835541592126,
+        3.16927267261695, 3.1058065155392804, 3.0545395893929013,
+        3.012275838716578, 2.9768427343708344, 2.946712883475238,
+        2.9207816224251, 2.8982305196774183, 2.8784404727386077,
+        2.8609346064649794,
+    ),
+}
+_LEVELS = " or ".join(map(str, _T_QUANTILES))
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -133,21 +162,27 @@ class ValidationReport:
 def halfwidth(batch_values, confidence: float) -> float:
     """Student-t halfwidth of the mean of one batch series.
 
-    The quantile is ``scipy.special.stdtrit``, the function that
-    ``scipy.stats.t.ppf`` calls, so the bits are the same. It is
-    imported here, on the first call, so that importing the package
-    loads no scipy module: that import would be most of the time of a
-    cold analytic command, and only a simulation needs a halfwidth.
+    The quantile comes from ``_T_QUANTILES``, a table of
+    ``scipy.special.stdtrit`` values (the function ``scipy.stats.t.ppf``
+    calls), so the bits are scipy's without importing it. The table
+    holds confidence 0.95 and 0.99 at 1 to N_BATCHES - 1 degrees of
+    freedom; any other pair raises ValueError. Fewer than two values
+    give an infinite halfwidth.
     """
     v = np.asarray(batch_values, dtype=float)
     n = v.size
     if n < 2:
         return math.inf
-    from scipy.special import stdtrit
-
-    tq = stdtrit(n - 1, 0.5 + confidence / 2.0)
+    df = n - 1
+    row = _T_QUANTILES.get(confidence, ())
+    if df > len(row):
+        raise ValueError(
+            f"no Student-t quantile for confidence {confidence!r} at {df} "
+            f"degrees of freedom; supported: confidence {_LEVELS} "
+            f"at 1 to {N_BATCHES - 1}"
+        )
     with np.errstate(over="ignore"):  # a spread past the float range is inf
-        return float(tq * v.std(ddof=1) / math.sqrt(n))
+        return float(row[df - 1] * v.std(ddof=1) / math.sqrt(n))
 
 
 def _draw_sizes(rng: np.random.Generator, distribution: str, mean_bits: float,
@@ -325,10 +360,11 @@ def validate_against_analytic(cfg: SimConfig, confidence: float = 0.99) -> Valid
 
     A metric is flagged when the analytic value falls outside the
     simulated interval; ok is True when nothing is flagged. A confidence
-    outside (0, 1), NaN included, is refused before simulating.
+    other than 0.95 or 0.99, the levels halfwidth has quantiles for, is
+    refused before simulating.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    if confidence not in _T_QUANTILES:
+        raise ValueError(f"confidence must be {_LEVELS}, got {confidence!r}")
     stats = simulate(cfg)
     qm = queue_metrics(cfg.traffic, cfg.rate_bps)
     power = average_power(cfg.profile, cfg.traffic, cfg.rate_bps)

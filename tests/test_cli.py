@@ -373,9 +373,16 @@ def test_settings_outside_the_float_range_exit_2(capsys, tmp_path, section, key,
     assert "Traceback" not in err
 
 
+def run_python(code):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_analytic_commands_load_neither_scipy_nor_numpy_ma():
-    # Only a halfwidth needs scipy, and its import would be most of a
-    # cold run; np.unique would import numpy.ma on its first call.
+    # scipy is only a test dependency, and np.unique would import
+    # numpy.ma on its first call.
     code = (
         "import contextlib, io, sys\n"
         "import vbsenergy, vbsenergy.cli\n"
@@ -384,11 +391,27 @@ def test_analytic_commands_load_neither_scipy_nor_numpy_ma():
         "    assert vbsenergy.cli.main(['compare', '--policy', 'grid']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
     )
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert run_python(code) == "[]\n"
+
+
+def test_simulate_loads_no_scipy_module_and_runs_without_scipy():
+    # The Student-t quantiles come from a table in the package, so a
+    # simulation imports no scipy module, and one where scipy cannot be
+    # imported at all prints the same rows.
+    outputs = []
+    for block in ("", "sys.modules['scipy'] = None\n"):
+        code = (
+            "import sys\n" + block +
+            "import vbsenergy.cli\n"
+            "code = vbsenergy.cli.main(['simulate', '--rate', '50Mbps', '--cores', '2',\n"
+            "                           '--seed', '3', '--arrivals', '5000'])\n"
+            "print(sorted(m for m, mod in sys.modules.items()\n"
+            "             if m.split('.')[0] == 'scipy' and mod is not None))\n"
+            "sys.exit(code)\n"
+        )
+        outputs.append(run_python(code))
+    assert outputs[0].endswith(",ok\n[]\n")
+    assert outputs[1] == outputs[0]
 
 
 def test_refused_command_leaves_the_output_file_empty(capsys, tmp_path):

@@ -43,15 +43,22 @@ def test_halfwidth_of_a_spread_past_the_float_range_is_infinite():
 
 @pytest.mark.parametrize("confidence", [0.95, 0.99])
 def test_halfwidth_equals_the_scipy_reference_bits(confidence):
-    # Every (confidence, df) pair the package uses: df 1 to 19, which
-    # dropped empty batches can produce. scipy.stats is only the
-    # reference here; the package never imports it.
+    # Every (confidence, df) pair of the quantile table: df 1 to 19,
+    # which dropped empty batches can produce. scipy.stats is only the
+    # reference here; the package never imports scipy.
     from scipy import stats
 
     v = np.random.default_rng(11).lognormal(size=N_BATCHES)
     for n in range(2, N_BATCHES + 1):
         ref = stats.t.ppf(0.5 + confidence / 2, n - 1) * v[:n].std(ddof=1) / math.sqrt(n)
         assert halfwidth(v[:n], confidence).hex() == float(ref).hex(), n
+
+
+@pytest.mark.parametrize("confidence,n", [(0.9, N_BATCHES), (0.5, 2),
+                                          (0.95, N_BATCHES + 1), (0.99, 40)])
+def test_halfwidth_refuses_a_pair_outside_the_quantile_table(confidence, n):
+    with pytest.raises(ValueError, match="0.95 or 0.99"):
+        halfwidth(np.arange(float(n)), confidence)
 
 
 def test_config_validation():
@@ -136,7 +143,8 @@ def test_unopenable_trace_path_fails_before_simulating(tmp_path, monkeypatch):
         simulate(make_config(trace_path=str(tmp_path / "missing" / "t.tsv")))
 
 
-@pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, math.nan])
+# Levels inside (0, 1) that have no quantile table are refused the same way.
+@pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, math.nan, 0.5, 0.9, 0.999])
 def test_validation_refuses_a_confidence_outside_the_unit_interval(monkeypatch, confidence):
     import vbsenergy.simulate as module
 
