@@ -16,6 +16,15 @@ alpha = 0 the argument is constant and the root has the closed form
 which exists inside the stable region iff P_s > 0 and lambda L < r_e.
 P_s is the sleep-adjusted static power, so r_e depends on neither the
 rate-linear BBU load coefficient kappa nor on alpha.
+
+At alpha > 0 the root is bracketed by doubling and bisected, and each
+sign test evaluates the gap only inside a window around the root. A
+Newton search on ln a - u - ln u, with no Lambert W per step, locates
+the root; two gap evaluations certify the window's ends with a margin
+above the gap's rounding error. Outside the window the computed gap's
+sign is then known, so the bisection takes the same steps with about 6
+gap evaluations instead of 45. Where no window is certified every test
+evaluates the gap.
 Both read only the coefficients of a BusyPowerProfile, so the macro
 baseline shares them through earth_profile.
 
@@ -76,6 +85,12 @@ _BISECT_RTOL = 1e-12
 # Enough doublings to walk from the smallest subnormal to the largest float.
 _MAX_BRACKET_DOUBLINGS = 2100
 _MAX_BISECT_ITER = 500
+# Relative half-widths of the certified gap window, tried in turn; the
+# narrowest leaves about four bisection steps inside it.
+_WINDOW_RTOLS = (4e-12, 1e-9, 1e-6)
+# The located root is final once a Newton step is this small relative to it.
+_LOCATE_RTOL = 1e-14
+_LOCATE_MAX_ITER = 100
 
 # A curve point's status by its refusal code, and invalid-delay after them.
 _CURVE_STATUSES = np.array([*map(refusal_status, range(len(REFUSALS))), "invalid-delay"])
@@ -283,6 +298,97 @@ def asymptotic_power(sc: Scenario, n_cores: int) -> float:
     return scenario_profile(sc, n_cores).busy_power(sc.traffic.offered_load_bps)
 
 
+def _locate_root(c: float, b: float, k: float, load: float) -> float | None:
+    """Approximate root of W0(a(r)) = u(r), with a(r) = c (r / (r - load))**2
+    + b and u(r) = k r - 1, found with no Lambert W per step; None when the
+    search fails.
+
+    Where a and u are positive the equation is H(r) = ln a - u - ln u = 0,
+    and H is decreasing. Newton steps on H stay inside the bracket of
+    rates where H changed sign; a step that leaves it is replaced by the
+    bracket's midpoint, or by doubling while no upper end is known. The
+    alpha = 0 root, when it is stable, lies below the root and starts it.
+    """
+    r = 2.0 * load
+    if b >= BRANCH_POINT_ARG:
+        r_e = (lambert_w0(b) + 1.0) / k
+        if r_e > load:
+            r = r_e
+    lo, hi = load, math.inf
+    try:
+        for _ in range(_LOCATE_MAX_ITER):
+            d = r - load
+            g = r / d
+            a, u = c * g * g + b, k * r - 1.0
+            if a > 0.0 and u > 0.0:
+                h = math.log(a) - u - math.log(u)
+                step = h / (-2.0 * c * g * (load / d) / d / a - k - k / u)
+                if abs(step) <= _LOCATE_RTOL * r:
+                    return r - step
+                r_next = r - step
+            elif a > 0.0 or u > 0.0:
+                # W0(a) - u has the sign of a (W0(a) > 0 >= u, or
+                # W0(a) <= 0 < u); no Newton step is taken.
+                h, r_next = a, math.nan
+            else:
+                return None
+            if h > 0.0:
+                lo = r
+            else:
+                hi = r
+            if lo < r_next < hi:
+                r = r_next
+            else:
+                r = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    except ArithmeticError:
+        return None
+    return None
+
+
+def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
+                alpha: float) -> tuple[float, float]:
+    """(x_lo, x_hi) around the gap's root: every rate in (load, x_lo] has
+    a positive computed gap and every finite rate >= x_hi a negative one.
+    The empty window (load, inf) when none is certified.
+
+    Each end is the located root moved by a relative half-width from
+    _WINDOW_RTOLS, kept only if its computed gap has the right sign with
+    margin M = 1e-12 * (2 + |u| + |b| / a). M bounds the gap's rounding
+    error with room to spare while a and u are positive: lambert_w0 is
+    within 1e-14 * (2 + |W|) of scipy's lambertw
+    (tests/test_lambertw.py::test_error_stays_below_the_window_margin),
+    u rounds by a few ulps, and a = c g**2 + b by a few ulps of |b| + a,
+    which W0 scales by at most 1 / a. The gap is decreasing, so a rate
+    beyond a certified end has a computed gap of the same sign. Near the
+    branch point (a <= 0) W0 is ill-conditioned, so the window is then
+    empty, as it is when u <= 0 or a exceeds the tested 1e300.
+    """
+    load = t.offered_load_bps
+    g_eta = profile.gain * profile.pa_efficiency
+    c = alpha * g_eta / math.e
+    b = (g_eta * profile.sleep_adjusted_power(t.arrival_rate) - 1.0) / math.e
+    k = LN2 / profile.bandwidth_hz
+    empty = load, math.inf
+    r_hat = _locate_root(c, b, k, load)
+    if r_hat is None or not load < r_hat < math.inf:
+        return empty
+    ends = []
+    for side in (-1.0, 1.0):
+        for rtol in _WINDOW_RTOLS:
+            x = r_hat * (1.0 + side * rtol)
+            if not x > load:
+                return empty
+            a, u = c * (x / (x - load)) ** 2 + b, k * x - 1.0
+            if not (0.0 < a <= 1e300 and u > 0.0):
+                return empty
+            if -side * optimality_gap(profile, t, alpha, x) > 1e-12 * (2.0 + u + abs(b) / a):
+                ends.append(x)
+                break
+        else:
+            return empty
+    return ends[0], ends[1]
+
+
 def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     """Rate minimizing z(r) for a fixed core count, ignoring core capacity.
 
@@ -291,6 +397,12 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     bisection to 1e-12 relative width. Bisection is deliberate: the gap
     is monotone, so convergence is unconditional. Raises
     NoEnergyOptimumError when no finite-delay minimum exists.
+
+    A sign test only evaluates the gap inside a window certified around
+    the root (_gap_window); outside it the sign is known, so a solve
+    evaluates the gap about 6 times instead of about 45. With an empty
+    window every test evaluates it. Either way each test gets the sign
+    the computed gap has, so the result has the same bits.
     """
     profile = scenario_profile(sc, n_cores)
     t = sc.traffic
@@ -298,8 +410,15 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
         return _optimal_rate(profile, t)
 
     load = t.offered_load_bps
+    x_lo, x_hi = _gap_window(profile, t, sc.alpha)
 
     def gap(r: float) -> float:
+        # Outside the window +1 and -1 stand in for the gap: only its
+        # sign is tested.
+        if load < r <= x_lo:
+            return 1.0
+        if x_hi <= r < math.inf:
+            return -1.0
         return optimality_gap(profile, t, sc.alpha, r)
 
     # The gap blows up to +inf at the stability boundary; walk the lower

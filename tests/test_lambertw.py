@@ -55,3 +55,19 @@ def test_matches_scipy():
         ours = lambert_w0(float(x))
         ref = float(scipy.special.lambertw(float(x), 0).real)
         assert ours == pytest.approx(ref, rel=1e-12, abs=1e-13)
+
+
+def test_error_stays_below_the_window_margin():
+    # optimize._gap_window certifies a gap sign with margin
+    # 1e-12 * (2 + |u| + ...), which needs lambert_w0 well inside it
+    # wherever a window is allowed: arguments in [0, 1e300].
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1.0, math.e, 1e300],
+        np.geomspace(1e-300, 1e300, 2000),
+        10.0 ** rng.uniform(-300, 300, 1000),
+        rng.uniform(0.0, 100.0, 1000),
+    ])
+    for x in xs:
+        w = float(scipy.special.lambertw(float(x), 0).real)
+        assert abs(lambert_w0(float(x)) - w) <= 1e-14 * (2.0 + abs(w))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vbsenergy import optimize
 from vbsenergy.errors import (
+    ConvergenceError,
     InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
@@ -17,7 +18,11 @@ from vbsenergy.errors import (
     UnstableQueueError,
 )
 from vbsenergy.optimize import (
+    _BISECT_RTOL,
+    _MAX_BISECT_ITER,
+    _MAX_BRACKET_DOUBLINGS,
     Scenario,
+    _optimal_rate,
     asymptotic_power,
     best_rate_for_cores,
     cores_needed,
@@ -467,3 +472,104 @@ def test_the_curve_equals_its_single_points(sc, delays, n_cores):
         else:
             assert status[i] == "ok"
             assert [float(f[i]).hex() for f in pts] == [float(f).hex() for f in want]
+
+
+def _reference_solve(sc: Scenario, n_cores: int) -> float:
+    """solve_optimal_rate before the certified gap window: every sign
+    test evaluates the gap. Kept verbatim as the reference."""
+    profile = scenario_profile(sc, n_cores)
+    t = sc.traffic
+    if sc.alpha == 0.0:
+        return _optimal_rate(profile, t)
+
+    load = t.offered_load_bps
+
+    def gap(r: float) -> float:
+        return optimality_gap(profile, t, sc.alpha, r)
+
+    # The gap blows up to +inf at the stability boundary; walk the lower
+    # end inward until it is positive.
+    eps = 1e-6
+    lo = load * (1.0 + eps)
+    while gap(lo) <= 0.0:
+        eps *= 1e-3
+        if eps < 1e-15:
+            raise NoEnergyOptimumError(
+                "no stationary rate above the stability boundary"
+            )
+        lo = load * (1.0 + eps)
+
+    hi = lo * 2.0
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        if gap(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError("failed to bracket the stationary rate")
+
+    for _ in range(_MAX_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        if (hi - lo) <= _BISECT_RTOL * mid:
+            return mid
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError("bisection failed to converge")
+
+
+def _outcome(solve, sc, n_cores):
+    """A solve's rate in float.hex, or the type of what it raised."""
+    try:
+        return solve(sc, n_cores).hex()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@st.composite
+def penalized_scenarios(draw):
+    # Switch energies up to 300 J make the sleep-adjusted power negative
+    # on part of this range, and tiny alphas put the root next to the load.
+    compute = ComputeParams(p_core_min_w=draw(st.floats(0.0, 19.0)),
+                            kappa=draw(st.floats(1.0, 100.0)))
+    radio = RadioParams(switch_energy_j=draw(st.floats(0.0, 300.0)))
+    traffic = TrafficParams(draw(st.floats(0.05, 3.0)), 10.0 ** draw(st.floats(4.0, 9.0)))
+    return Scenario(compute=compute, radio=radio, traffic=traffic,
+                    alpha=10.0 ** draw(st.floats(-9.0, 4.0)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
+@given(sc=penalized_scenarios(), n_cores=st.integers(1, 64))
+@example(sc=Scenario(traffic=TrafficParams(1.0, 4e8), alpha=1e-6), n_cores=10)
+@example(sc=Scenario(alpha=10.0), n_cores=2)
+def test_windowed_solve_equals_the_reference_bits(sc, n_cores):
+    assert _outcome(solve_optimal_rate, sc, n_cores) == _outcome(_reference_solve, sc, n_cores)
+
+
+# 4 loads is far from each of these roots, and load * (1 + 1e-13) leaves
+# no room for the window's lower end.
+@pytest.mark.parametrize("located", [
+    lambda load: None, lambda load: math.nan, lambda load: math.inf,
+    lambda load: 4.0 * load, lambda load: load * (1.0 + 1e-13),
+])
+@pytest.mark.parametrize("sc, n_cores", [
+    (Scenario(alpha=10.0), 2),
+    (Scenario(traffic=TrafficParams(1.0, 4e8), alpha=1e-6), 10),
+    (Scenario(radio=RadioParams(switch_energy_j=300.0), alpha=50.0), 4),
+])
+def test_a_failed_locate_leaves_the_reference_solve(monkeypatch, located, sc, n_cores):
+    monkeypatch.setattr(optimize, "_locate_root", lambda c, b, k, load: located(load))
+    assert _outcome(solve_optimal_rate, sc, n_cores) == _outcome(_reference_solve, sc, n_cores)
+
+
+def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return optimality_gap(*args)
+
+    monkeypatch.setattr(optimize, "optimality_gap", counted)
+    sc = Scenario(alpha=10.0)
+    assert solve_optimal_rate(sc, 2) == _reference_solve(sc, 2)
+    assert len(calls) <= 10  # the reference makes 45
