@@ -27,9 +27,10 @@ import numpy as np
 
 from .config import Settings, apply_override, build_settings, read_config, render_config
 from .errors import ConfigError, InfeasibleError, refusal_status
-from .optimize import (
-    JointResult,
+# best_rate_for_cores stays importable unused: perfbench/tracer.py wraps it here.
+from .optimize import (  # noqa: F401
     Scenario,
+    best_points,
     best_rate_for_cores,
     cores_needed,
     earth_energy_optimal_rate,
@@ -198,16 +199,8 @@ def cmd_power(args, settings: Settings, fh) -> int:
     return EXIT_OK
 
 
-def _best_point(sc: Scenario, cores: int | None, cores_max: int) -> JointResult:
-    """Optimum on a fixed core count, or over 1..cores_max when cores is None."""
-    if cores is None:
-        return joint_optimize(sc, cores_max)
-    point = evaluate_point(sc, best_rate_for_cores(sc, cores), cores)
-    return JointResult(point.rate_bps, cores, point, (point,))
-
-
 def cmd_optimize(args, settings: Settings, fh) -> int:
-    result = _best_point(settings.scenario, _fixed_cores(args), settings.n_cores_max)
+    result = joint_optimize(settings.scenario, settings.n_cores_max, _fixed_cores(args))
     if args.verbose:
         for c in result.candidates:
             print(f"candidate: n_cores={c.n_cores} rate={c.rate_bps:.6g} "
@@ -249,6 +242,11 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
 
 
 def cmd_sweep(args, settings: Settings, fh) -> int:
+    """One row per grid value. A target_delay sweep is one tradeoff_curve
+    call. The other variables choose each value's (rate, core count)
+    candidates in turn and evaluate every candidate of every value in one
+    cost call (optimize.best_points); a refused value gets the status of
+    its refusal."""
     sc = settings.scenario
     base = _scenario_tag(sc)
     var, values = _parse_sweep_spec(args.spec)
@@ -265,6 +263,7 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
             rows.append(_row(f"{base}[target_delay={d:.6g}]", "sweep",
                              p if s == "ok" else None, s, fixed))
     else:
+        cases, sids = [], []
         for v in values:
             sc_v, cores, label = sc, fixed, f"{v:.6g}"
             if var == "n_cores":
@@ -276,12 +275,14 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
                 sc_v = replace(sc, traffic=replace(sc.traffic, arrival_rate=v))
             else:
                 sc_v = replace(sc, traffic=replace(sc.traffic, file_size_bits=v))
-            sid = f"{base}[{var}={label}]"
-            try:
-                point = _best_point(sc_v, cores, settings.n_cores_max).point
-                rows.append(_row(sid, "sweep", point))
-            except InfeasibleError as exc:
-                rows.append(_row(sid, "sweep", None, exc.status, cores))
+            cases.append((sc_v, cores))
+            sids.append(f"{base}[{var}={label}]")
+        for sid, (_, cores), result in zip(sids, cases,
+                                           best_points(cases, settings.n_cores_max)):
+            if isinstance(result, InfeasibleError):
+                rows.append(_row(sid, "sweep", None, result.status, cores))
+            else:
+                rows.append(_row(sid, "sweep", result.point))
     write_rows(fh, rows)
     return EXIT_OK
 

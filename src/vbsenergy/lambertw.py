@@ -4,7 +4,9 @@
 for x >= -1/e. The implementation is self-contained: a regime-dependent
 initial guess (a square-root series near the branch point, a two-term
 log expansion for large arguments) refined by Halley iteration until the
-step is below machine-level tolerance.
+step is below machine-level tolerance. Above 1e300, where w * exp(w)
+can overflow near the largest float, Newton iteration on the log form
+w + ln w = ln x replaces Halley's.
 
 Accuracy target: the residual |w * exp(w) - x| stays within
 1e-12 * max(1, |x|) across the whole domain, with the branch point
@@ -25,6 +27,12 @@ _SNAP_BELOW = 1e-15
 
 _MAX_ITER = 50
 _STEP_TOL = 1e-16
+
+# Arguments above this take the log form. Its Newton steps settle at
+# the rounding of ln x, about 1e-13, so the loop ends at a step below
+# 1e-14 of w (about 7e-12).
+_LOG_FORM_ABOVE = 1e300
+_LOG_STEP_RTOL = 1e-14
 
 
 def _initial_guess(x: float) -> float:
@@ -66,6 +74,15 @@ def lambert_w0(x: float) -> float:
         return math.inf
 
     w = _initial_guess(x)
+    if x > _LOG_FORM_ABOVE:
+        log_x = math.log(x)
+        for _ in range(_MAX_ITER):
+            dw = (w + math.log(w) - log_x) * w / (w + 1.0)
+            w -= dw
+            if abs(dw) <= _LOG_STEP_RTOL * w:
+                return w
+        raise ConvergenceError(f"lambert_w0 failed to converge for x = {x!r}")
+
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x

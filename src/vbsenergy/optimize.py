@@ -28,15 +28,19 @@ evaluates the gap.
 Both read only the coefficients of a BusyPowerProfile, so the macro
 baseline shares them through earth_profile.
 
-The joint search over core counts walks N_c upward: once the fixed-N_c
+The joint search over core counts has two steps. Choose: the walk
+steps N_c upward, one scalar rate solve per count; once the fixed-N_c
 minimizer is achievable within the core capacity, larger N_c only add
-idle-floor power, so the walk stops there and picks the cheapest
-candidate collected so far.
+idle-floor power, so the walk stops there. Evaluate: the candidates
+are costed together and the cheapest wins. best_points runs the choose
+step for many scenarios, a sweep's values, and evaluates all their
+candidates in one kernel call; joint_optimize is its one-scenario case.
 
 Operating points are evaluated by the cost kernel queueing.cost:
-evaluate_point on one rate, raising its refusal, and tradeoff_curve in
-one call over all its (rate, core count) pairs, returning each point's
-status and one TradeoffPoint of arrays.
+evaluate_point on one rate, raising its refusal; best_points in one call
+over every candidate of every scenario it is given; and tradeoff_curve
+in one call over all its (rate, core count) pairs, returning each
+point's status and one TradeoffPoint of arrays.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ from .power import (  # noqa: F401
     vbs_profile,
 )
 from .queueing import TrafficParams, average_power, cost, queue_metrics  # noqa: F401
-from .radio import LN2, LinkBudget
+from .radio import LN2, LinkBudget, over_link_cap
 
 # Costs within this relative band are treated as ties; the smaller core
 # count wins a tie.
@@ -361,7 +365,7 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     which W0 scales by at most 1 / a. The gap is decreasing, so a rate
     beyond a certified end has a computed gap of the same sign. Near the
     branch point (a <= 0) W0 is ill-conditioned, so the window is then
-    empty, as it is when u <= 0 or a exceeds the tested 1e300.
+    empty, as it is when u <= 0 or a exceeds 1e300.
     """
     load = t.offered_load_bps
     g_eta = profile.gain * profile.pa_efficiency
@@ -480,8 +484,103 @@ def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
     return _rate_for_cores(sc, n_cores)[0]
 
 
-def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
-    """Jointly pick service rate and core count.
+def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[float, int]]:
+    """The choose step of the joint search: the (rate, core count)
+    candidates of one scenario in ascending count, each rate from the
+    scalar solver. A fixed n_cores gives its best achievable rate; None
+    walks the counts as joint_optimize describes. Raises the refusal of a
+    scenario that leaves no candidate."""
+    if n_cores is not None:
+        return [(_rate_for_cores(sc, n_cores)[0], n_cores)]
+    if n_cores_max < 1:
+        raise ValueError("n_cores_max must be at least 1")
+    s = sc.compute.cpu_speed
+    need = (sc.compute.c0 + sc.compute.kappa * sc.traffic.offered_load_bps) / s
+    pairs = []
+    # min() keeps an overflowing need out of math.floor; the walk is then empty.
+    for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
+        if n * s == (n - 1) * s:
+            break
+        try:
+            rate, clamped = _rate_for_cores(sc, n)
+        except (InfeasibleLoadError, InfeasibleScenarioError):
+            continue  # no stable rate on n cores
+        pairs.append((rate, n))
+        # Candidate rates rise with n, so the first one over the link cap
+        # ends the walk too; the evaluate step refuses it.
+        if not clamped or over_link_cap(rate, sc.link.bandwidth_hz):
+            break
+    if not pairs:
+        raise InfeasibleScenarioError(
+            f"no stable operating point with up to {n_cores_max} core(s) "
+            f"for offered load {sc.traffic.offered_load_bps:.6g} bit/s"
+        )
+    return pairs
+
+
+def best_points(cases: list[tuple[Scenario, int | None]],
+                n_cores_max: int) -> list[JointResult | InfeasibleError]:
+    """The optimum of each (scenario, n_cores) case, or the refusal that
+    leaves it none; n_cores None searches the counts up to n_cores_max.
+
+    The scenarios may differ in traffic and alpha but share the compute,
+    radio and link of the first. Each case's candidates are chosen on
+    their own (_choose), then every candidate of every case is evaluated
+    in one cost call. A case's candidates end before its first refused
+    one, and that refusal is the case's result when it comes first. The
+    winner is the cheapest candidate left; costs within TIE_REL_TOL are
+    ties, and the smaller core count wins a tie.
+    """
+    base = cases[0][0]
+    shared = (base.compute, base.radio, base.link)
+    chosen, rates, counts, lams, sizes, alphas = [], [], [], [], [], []
+    for sc, n_cores in cases:
+        if (sc.compute, sc.radio, sc.link) != shared:
+            raise ValueError("the cases must share compute, radio and link")
+        try:
+            pairs = _choose(sc, n_cores, n_cores_max)
+        except InfeasibleError as exc:
+            chosen.append(exc)
+            continue
+        chosen.append((sc, len(rates), len(rates) + len(pairs)))
+        for rate, n in pairs:
+            rates.append(rate)
+            counts.append(n)
+        lams += [sc.traffic.arrival_rate] * len(pairs)
+        sizes += [sc.traffic.file_size_bits] * len(pairs)
+        alphas += [sc.alpha] * len(pairs)
+
+    c = cost(scenario_profile(base, np.array(counts, dtype=float)),
+             TrafficParams(np.array(lams, dtype=float), np.array(sizes, dtype=float)),
+             np.array(alphas, dtype=float), np.array(rates))
+    codes = c.code.tolist()
+    fields = [f.tolist() for f in c[1:]]
+    results: list[JointResult | InfeasibleError] = []
+    for case in chosen:
+        if isinstance(case, InfeasibleError):
+            results.append(case)
+            continue
+        sc, lo, hi = case
+        cut = next((i for i in range(lo, hi) if codes[i]), hi)
+        if cut == lo:
+            try:
+                raise_refusal(codes[lo], rates[lo], scenario_profile(sc, counts[lo]),
+                              sc.traffic.offered_load_bps)
+            except InfeasibleError as exc:
+                results.append(exc)
+            continue
+        points = tuple(TradeoffPoint(rates[i], counts[i], *(f[i] for f in fields))
+                       for i in range(lo, cut))
+        best_cost = min(p.cost_z for p in points)
+        # Ascending core count, so the first tie wins.
+        p = next(p for p in points if p.cost_z <= best_cost * (1.0 + TIE_REL_TOL))
+        results.append(JointResult(p.rate_bps, p.n_cores, p, points))
+    return results
+
+
+def joint_optimize(sc: Scenario, n_cores_max: int, n_cores: int | None = None) -> JointResult:
+    """Jointly pick service rate and core count; n_cores fixes the count
+    and picks only the rate.
 
     Walks N_c up to n_cores_max, from floor((c0 + kappa * load) / s):
     every smaller count falls short of the load by s / kappa or more.
@@ -492,41 +591,13 @@ def joint_optimize(sc: Scenario, n_cores_max: int) -> JointResult:
     rise with N_c, so the first one the link cap refuses also ends the
     walk; that refusal is raised only when no candidate came before it.
     The walk also stops where one more core adds no capacity in floats.
-    Ties within 1e-9 relative cost go to the smaller core count.
+    Ties within 1e-9 relative cost go to the smaller core count. This is
+    best_points on one case.
     """
-    if n_cores_max < 1:
-        raise ValueError("n_cores_max must be at least 1")
-    s = sc.compute.cpu_speed
-    need = (sc.compute.c0 + sc.compute.kappa * sc.traffic.offered_load_bps) / s
-    candidates: list[TradeoffPoint] = []
-    # min() keeps an overflowing need out of math.floor; the walk is then empty.
-    for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
-        if n * s == (n - 1) * s:
-            break
-        try:
-            rate, clamped = _rate_for_cores(sc, n)
-        except (InfeasibleLoadError, InfeasibleScenarioError):
-            continue  # no stable rate on n cores
-        try:
-            candidates.append(evaluate_point(sc, rate, n))
-        except InfeasibleError:
-            if not candidates:
-                raise
-            break
-        if not clamped:
-            break
-
-    if not candidates:
-        raise InfeasibleScenarioError(
-            f"no stable operating point with up to {n_cores_max} core(s) "
-            f"for offered load {sc.traffic.offered_load_bps:.6g} bit/s"
-        )
-
-    best_cost = min(p.cost_z for p in candidates)
-    for p in candidates:  # ascending core count, so first tie wins
-        if p.cost_z <= best_cost * (1.0 + TIE_REL_TOL):
-            return JointResult(p.rate_bps, p.n_cores, p, tuple(candidates))
-    raise AssertionError("unreachable")
+    (result,) = best_points([(sc, n_cores)], n_cores_max)
+    if isinstance(result, InfeasibleError):
+        raise result
+    return result
 
 
 def rate_for_delay(t: TrafficParams, target_delay_s):

@@ -34,7 +34,7 @@ from .errors import (
     LinkCapacityError,
     UnstableQueueError,
 )
-from .radio import MAX_RATE_EXPONENT, tx_power_for_rate
+from .radio import MAX_RATE_EXPONENT, over_link_cap, tx_power_for_rate
 
 # Tolerance for the load <= 1 feasibility check, so a rate computed from
 # the exact capacity boundary does not trip on rounding.
@@ -251,7 +251,7 @@ class BusyPowerProfile:
         errors.REFUSALS of the first refusal that applies there (0 if
         none); unstable marks the rates the queue refuses. Call it under
         np.errstate: a refused rate's power means nothing and may overflow."""
-        link = r / self.bandwidth_hz > MAX_RATE_EXPONENT
+        link = over_link_cap(r, self.bandwidth_hz)
         p_out = tx_power_for_rate(self.gain, self.bandwidth_hz,
                                   np.where(unstable | link, 0.0, r))
         cores = r > self.max_rate_bps

@@ -15,7 +15,9 @@ The planning objective adds a delay penalty through the mean number of
 flows in the system: z = E{P} + alpha * E{n}. cost is the one kernel
 that evaluates it, on one rate or an array of rates, flagging each
 refused rate with a code instead of raising; average_power and
-optimize.evaluate_point are that kernel followed by raise_refusal.
+optimize.evaluate_point are that kernel followed by raise_refusal. The
+arrival rate, file size and alpha may be arrays too, one entry per rate,
+so the operating points of many scenarios go through one call.
 """
 from __future__ import annotations
 
@@ -28,21 +30,29 @@ from .errors import UnstableQueueError
 from .power import BusyPowerProfile, raise_refusal
 
 
+def _holds(ok) -> bool:
+    """A comparison's outcome, or for a numpy array whether it holds everywhere."""
+    # Scalars skip numpy: a numpy call costs more than the comparison.
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
 @dataclass(frozen=True)
 class TrafficParams:
-    """Poisson flow arrivals (per second) with mean file size in bits."""
+    """Poisson flow arrivals (per second) with mean file size in bits.
+    Either field may be a numpy array with one entry per rate of a cost
+    call, which then evaluates several traffic mixes at once."""
 
-    arrival_rate: float = 1.0
-    file_size_bits: float = 1.6e7
+    arrival_rate: float | np.ndarray = 1.0
+    file_size_bits: float | np.ndarray = 1.6e7
 
     def __post_init__(self) -> None:
-        if not self.arrival_rate > 0:
+        if not _holds(self.arrival_rate > 0):
             raise ValueError("arrival rate must be positive")
-        if not self.file_size_bits > 0:
+        if not _holds(self.file_size_bits > 0):
             raise ValueError("file size must be positive")
 
     @property
-    def offered_load_bps(self) -> float:
+    def offered_load_bps(self) -> float | np.ndarray:
         """Arriving work in bit/s; the service rate must exceed this."""
         return self.arrival_rate * self.file_size_bits
 
@@ -89,9 +99,14 @@ class Cost(NamedTuple):
     cost_z: np.ndarray
 
 
-def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Cost:
+def cost(profile: BusyPowerProfile, t: TrafficParams, alpha, rates) -> Cost:
     """Average power plus alpha times the mean number of flows in system,
     with its parts, at each of the rates (a scalar or an array).
+
+    The profile's core counts, t's arrival rate and file size, and alpha
+    may each be an array that pairs one value with each rate. Every step
+    is an elementwise + - * / or exp2, so an entry has the bits of the
+    scalar call on its own values.
 
     A rate is refused as unstable unless it exceeds the offered load (so
     NaN is refused), then by the profile for the link and core caps.
@@ -100,7 +115,7 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha: float, rates) -> Co
     cost, the idle floor of the extra core weighted by the time it is
     powered.
     """
-    if not alpha >= 0:
+    if not _holds(alpha >= 0):
         raise ValueError("alpha must be nonnegative")
     r = np.asarray(rates, dtype=float)
     load = t.offered_load_bps

@@ -89,6 +89,12 @@ def shannon_rate(gain: float, bandwidth_hz: float, p_out_w):
     return float(r) if np.ndim(r) == 0 else r
 
 
+def over_link_cap(rate_bps, bandwidth_hz: float):
+    """Whether the link refuses rate_bps, scalar or array: its ratio to
+    the bandwidth is above MAX_RATE_EXPONENT."""
+    return rate_bps / bandwidth_hz > MAX_RATE_EXPONENT
+
+
 def tx_power_for_rate(gain: float, bandwidth_hz: float, rate_bps,
                       max_exponent: float = MAX_RATE_EXPONENT):
     """Transmit power needed for rate_bps; exact inverse of shannon_rate."""

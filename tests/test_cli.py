@@ -9,10 +9,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vbsenergy import cli
+from reference_walk import reference_sweep
+from vbsenergy import optimize
 from vbsenergy.cli import SWEEP_VARS, main
 from vbsenergy.config import _REGISTRY
 
@@ -149,11 +150,56 @@ def test_sweep_checks_the_core_grid_before_solving(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("a point was solved before the grid was checked")
 
-    monkeypatch.setattr(cli, "best_rate_for_cores", solve)
-    monkeypatch.setattr(cli, "joint_optimize", solve)
+    # Every sweep value's rates come from this solve, fixed count or not.
+    monkeypatch.setattr(optimize, "_rate_for_cores", solve)
     code, out, err = run_cli(capsys, "sweep", "n_cores=1:4:5")
     assert code == 2
     assert out == "" and "got 1.75" in err
+
+
+@st.composite
+def batched_sweeps(draw):
+    # Arrival rates up to 12 /s take 3 cores past their capacity, and at
+    # 6.25 /s or more a walk of 22 cores reaches the link cap. The
+    # examples below add a first candidate that the link cap refuses.
+    var = draw(st.sampled_from(("alpha", "lambda", "file_size", "n_cores")))
+    steps = draw(st.integers(1, 6))
+    if var == "n_cores":
+        lo = draw(st.integers(1, 30))
+        hi = lo + steps - 1
+    else:
+        lo, hi = sorted(draw(st.lists({
+            "alpha": st.floats(0.0, 100.0),
+            "lambda": st.floats(0.05, 12.0),
+            "file_size": st.floats(1e5, 3e8),
+        }[var], min_size=2, max_size=2)))
+    argv = ["sweep", f"{var}={lo!r}:{hi!r}:{steps}"]
+    if draw(st.booleans()):
+        argv += ["--cores", str(draw(st.integers(1, 8)))]
+    argv += ["--cores-max", str(draw(st.integers(1, 30)))]
+    for flag, values in (("--alpha", st.sampled_from(("0", "2", "10", "1e-6"))),
+                         ("--lambda", st.sampled_from(("0.5/s", "3/s", "6.25/s", "10/s")))):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(batched_sweeps())
+@example(["sweep", "lambda=0.2:12:8", "--cores", "3"])
+@example(["sweep", "lambda=5:8:4", "--cores-max", "30"])
+@example(["sweep", "alpha=0:100:5", "--lambda", "6.25/s", "--cores-max", "25"])
+@example(["sweep", "file_size=1e6:1.6e8:6", "--cores-max", "24"])
+@example(["sweep", "file_size=5e7:1.5e8:3", "--lambda", "10/s", "--cores-max", "80"])
+@example(["sweep", "n_cores=1:24:24", "--lambda", "10/s"])
+def test_batched_sweep_writes_the_per_value_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    want = io.StringIO()
+    reference_sweep(argv, want)
+    assert out.getvalue() == want.getvalue()
 
 
 def test_sweep_lambda_joint(capsys):

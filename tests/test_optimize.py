@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from reference_walk import reference_joint
 from vbsenergy import optimize
 from vbsenergy.errors import (
     ConvergenceError,
@@ -205,6 +206,20 @@ def test_joint_optimize_stops_at_the_first_refused_candidate():
     assert joint_optimize(sc, 21).n_cores == 3
 
 
+def test_a_cost_tie_goes_to_the_smaller_core_count():
+    # With no idle floor per core, r_e is the same on every count. One
+    # core's capacity just below it gives a clamped candidate that costs
+    # about 8e-12 more than the interior optimum on 2 cores: a tie.
+    base = Scenario(compute=ComputeParams(p_core_min_w=0.0))
+    c = base.compute
+    kappa = (c.cpu_speed - c.c0) / (energy_optimal_rate(base, 1) * (1.0 - 1e-5))
+    res = joint_optimize(replace(base, compute=replace(c, kappa=kappa)), 8)
+    one, two = res.candidates
+    assert (one.n_cores, two.n_cores) == (1, 2)
+    assert two.cost_z < one.cost_z <= two.cost_z * (1.0 + optimize.TIE_REL_TOL)
+    assert res.point == one
+
+
 def count_rate_calls(monkeypatch, limit=None):
     calls = []
     solve = optimize._rate_for_cores
@@ -232,6 +247,16 @@ def test_joint_optimize_skips_counts_below_the_load(monkeypatch):
     heavy = replace(Scenario(), traffic=TrafficParams(arrival_rate=10.0))
     assert joint_optimize(heavy, 8).n_cores == 4
     assert calls[0] == 3
+
+
+def test_joint_optimize_walk_ends_at_the_first_candidate_over_the_link_cap(monkeypatch):
+    # Candidates are evaluated only after the walk, which still stops at
+    # the clamped candidate on 22 cores that the link cap refuses.
+    sc = replace(Scenario(), traffic=TrafficParams(arrival_rate=6.25))
+    expected = joint_optimize(sc, 21)
+    calls = count_rate_calls(monkeypatch, limit=21)
+    assert joint_optimize(sc, 10**6) == expected
+    assert calls == list(range(2, 23))
 
 
 def test_joint_optimize_stops_where_a_core_adds_no_capacity(monkeypatch):
@@ -573,3 +598,47 @@ def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch):
     sc = Scenario(alpha=10.0)
     assert solve_optimal_rate(sc, 2) == _reference_solve(sc, 2)
     assert len(calls) <= 10  # the reference makes 45
+
+
+def _joint_outcome(sc, n_cores_max, joint):
+    """A joint search's winner and candidates in float.hex, or the type
+    and message of what it raised."""
+    try:
+        res = joint(sc, n_cores_max)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    hexed = [tuple(x if isinstance(x, int) else x.hex() for x in p)
+             for p in (res.point, *res.candidates)]
+    assert res.rate_bps == res.point.rate_bps and res.n_cores == res.point.n_cores
+    return [type(x) for x in res.point], hexed
+
+
+@st.composite
+def joint_scenarios(draw):
+    # Arrival rates up to 12 /s reach past 3 cores' capacity, and with
+    # 22 or more cores the walk reaches the link cap (rate 1.2e9 bit/s);
+    # switch energies up to 300 J leave some counts without an optimum.
+    compute = ComputeParams(p_core_min_w=draw(st.floats(0.0, 19.0)),
+                            kappa=draw(st.floats(1.0, 100.0)))
+    radio = RadioParams(switch_energy_j=draw(st.floats(0.0, 300.0)))
+    traffic = TrafficParams(draw(st.floats(0.05, 12.0)), 10.0 ** draw(st.floats(5.0, 8.5)))
+    alpha = draw(st.just(0.0) | st.floats(0.0, 100.0) | st.floats(-9.0, 4.0).map(lambda e: 10.0 ** e))
+    return Scenario(compute=compute, radio=radio, traffic=traffic, alpha=alpha)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(sc=joint_scenarios(), n_cores_max=st.integers(1, 40))
+@example(sc=replace(Scenario(), traffic=TrafficParams(arrival_rate=6.25)), n_cores_max=30)
+@example(sc=replace(Scenario(), traffic=TrafficParams(arrival_rate=80.0)), n_cores_max=40)
+@example(sc=Scenario(traffic=TrafficParams(arrival_rate=3.0)), n_cores_max=1)
+@example(sc=Scenario(alpha=10.0), n_cores_max=8)
+def test_joint_optimize_equals_the_per_candidate_walk(sc, n_cores_max):
+    assert (_joint_outcome(sc, n_cores_max, joint_optimize)
+            == _joint_outcome(sc, n_cores_max, reference_joint))
+
+
+def test_best_points_refuses_cases_that_do_not_share_the_station():
+    sc = Scenario()
+    other = replace(sc, compute=replace(sc.compute, kappa=30.0))
+    with pytest.raises(ValueError, match="share compute, radio and link"):
+        optimize.best_points([(sc, None), (other, None)], 8)

@@ -120,9 +120,11 @@ def _with_neighbours(x):
     n_cores=st.integers(1, 8),
     drawn=st.lists(st.floats(-1e9, 1e10), max_size=8),
     counts=st.lists(st.integers(1, 64), min_size=1, max_size=8),
+    mixes=st.lists(st.tuples(st.floats(0.05, 5.0), st.floats(1e5, 1e8), st.floats(0.0, 100.0)),
+                   min_size=1, max_size=8),
 )
 def test_kernel_grid_equals_its_single_rate_calls(alpha, arrival_rate, file_size,
-                                                  n_cores, drawn, counts):
+                                                  n_cores, drawn, counts, mixes):
     sc = Scenario(traffic=TrafficParams(arrival_rate, file_size), alpha=alpha)
     prof = scenario_profile(sc, n_cores)
     edges = (0.0, -1.0, sc.traffic.offered_load_bps,
@@ -150,6 +152,30 @@ def test_kernel_grid_equals_its_single_rate_calls(alpha, arrival_rate, file_size
         one = cost(scenario_profile(sc, n), sc.traffic, alpha, r)
         assert int(one.code) == paired.code[i]
         assert [float(f).hex() for f in one[1:]] == [float(f[i]).hex() for f in paired[1:]]
+    # The arrival-rate, file-size and alpha axes: each rate with its own
+    # traffic mix, alpha and count, as a batch of joint searches pairs
+    # them, plus each mix's own load and its neighbours.
+    cases = [(r, *mixes[i % len(mixes)], ns[i]) for i, r in enumerate(rates.tolist())]
+    cases += [(r, lam, size, a, n) for (lam, size, a), n in zip(mixes, counts)
+              for r in _with_neighbours(lam * size)]
+    r, lam, size, a, n = (np.array(x, dtype=float) for x in zip(*cases))
+    mixed = cost(scenario_profile(sc, n), TrafficParams(lam, size), a, r)
+    for i, (r, lam, size, a, n) in enumerate(cases):
+        one = cost(scenario_profile(sc, int(n)), TrafficParams(lam, size), a, r)
+        assert int(one.code) == mixed.code[i]
+        assert [float(f).hex() for f in one[1:]] == [float(f[i]).hex() for f in mixed[1:]]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_traffic_and_alpha_arrays_are_checked_entry_by_entry(bad):
+    with pytest.raises(ValueError, match="arrival rate"):
+        TrafficParams(np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="file size"):
+        TrafficParams(1.0, np.array([1.6e7, bad]))
+    if bad != 0.0:
+        with pytest.raises(ValueError, match="alpha"):
+            cost(scenario_profile(Scenario(), 2), TrafficParams(), np.array([1.0, bad]),
+                 np.array([5e7, 6e7]))
 
 
 def test_a_refusal_on_an_array_of_counts_names_its_own_capacity():
