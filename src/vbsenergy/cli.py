@@ -243,10 +243,10 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
 
 def cmd_sweep(args, settings: Settings, fh) -> int:
     """One row per grid value. A target_delay sweep is one tradeoff_curve
-    call. The other variables choose each value's (rate, core count)
-    candidates in turn and evaluate every candidate of every value in one
-    cost call (optimize.best_points); a refused value gets the status of
-    its refusal."""
+    call. The other variables give each value a (traffic, alpha, n_cores)
+    case of the one station; optimize.best_points chooses each case's
+    candidates in turn and prices every candidate of every case in one
+    cost call. A refused value gets the status of its refusal."""
     sc = settings.scenario
     base = _scenario_tag(sc)
     var, values = _parse_sweep_spec(args.spec)
@@ -265,20 +265,20 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
     else:
         cases, sids = [], []
         for v in values:
-            sc_v, cores, label = sc, fixed, f"{v:.6g}"
+            traffic, alpha, cores, label = sc.traffic, sc.alpha, fixed, f"{v:.6g}"
             if var == "n_cores":
                 cores = int(v)
                 label = str(cores)
             elif var == "alpha":
-                sc_v = replace(sc, alpha=v)
+                alpha = v
             elif var == "lambda":
-                sc_v = replace(sc, traffic=replace(sc.traffic, arrival_rate=v))
+                traffic = replace(sc.traffic, arrival_rate=v)
             else:
-                sc_v = replace(sc, traffic=replace(sc.traffic, file_size_bits=v))
-            cases.append((sc_v, cores))
+                traffic = replace(sc.traffic, file_size_bits=v)
+            cases.append((traffic, alpha, cores))
             sids.append(f"{base}[{var}={label}]")
-        for sid, (_, cores), result in zip(sids, cases,
-                                           best_points(cases, settings.n_cores_max)):
+        for sid, (*_, cores), result in zip(sids, cases,
+                                            best_points(sc, cases, settings.n_cores_max)):
             if isinstance(result, InfeasibleError):
                 rows.append(_row(sid, "sweep", None, result.status, cores))
             else:

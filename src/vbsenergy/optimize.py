@@ -31,21 +31,21 @@ baseline shares them through earth_profile.
 The joint search over core counts has two steps. Choose: the walk
 steps N_c upward, one scalar rate solve per count; once the fixed-N_c
 minimizer is achievable within the core capacity, larger N_c only add
-idle-floor power, so the walk stops there. Evaluate: the candidates
-are costed together and the cheapest wins. best_points runs the choose
-step for many scenarios, a sweep's values, and evaluates all their
-candidates in one kernel call; joint_optimize is its one-scenario case.
+idle-floor power, so the walk stops there. Only this step decides
+which candidates can be served. Evaluate: best_points prices the
+candidates of many cases of one station, a sweep's values, in one
+kernel call, and each case's cheapest wins; joint_optimize is its
+one-case form.
 
 Operating points are evaluated by the cost kernel queueing.cost:
-evaluate_point on one rate, raising its refusal; best_points in one call
-over every candidate of every scenario it is given; and tradeoff_curve
-in one call over all its (rate, core count) pairs, returning each
-point's status and one TradeoffPoint of arrays.
+evaluate_point on one rate, raising its refusal; best_points as above;
+and tradeoff_curve in one call over all its (rate, core count) pairs,
+returning each point's status and one TradeoffPoint of arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +56,7 @@ from .errors import (
     InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
+    LinkCapacityError,
     NoEnergyOptimumError,
     UnstableQueueError,
     refusal_status,
@@ -76,7 +77,7 @@ from .power import (  # noqa: F401
     vbs_profile,
 )
 from .queueing import TrafficParams, average_power, cost, queue_metrics  # noqa: F401
-from .radio import LN2, LinkBudget, over_link_cap
+from .radio import LN2, MAX_RATE_EXPONENT, LinkBudget, over_link_cap
 
 # Costs within this relative band are treated as ties; the smaller core
 # count wins a tie.
@@ -486,91 +487,89 @@ def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
 
 def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[float, int]]:
     """The choose step of the joint search: the (rate, core count)
-    candidates of one scenario in ascending count, each rate from the
-    scalar solver. A fixed n_cores gives its best achievable rate; None
-    walks the counts as joint_optimize describes. Raises the refusal of a
-    scenario that leaves no candidate."""
+    candidates of one scenario in ascending count that the cost kernel
+    serves, each rate from the scalar solver. A fixed n_cores gives its
+    best achievable rate; None walks the counts as joint_optimize
+    describes. Raises the refusal of a scenario left with no candidate.
+
+    Rates rise with the count and the walk stops at the first over the
+    link cap, so only the last candidate can be over it; it is dropped.
+    No other refusal applies. Every rate exceeds the load: capacities at
+    or below load * (1 + STABILITY_MARGIN) are refused, the closed form
+    exists only above the load, and the bisection stays above
+    load * (1 + eps). Every rate is at most max_supportable_rate,
+    (n s - c0) / kappa, which in floats never exceeds the profile's
+    max_rate_bps, ((1 + 1e-12) n s - c0) / kappa.
+    """
     if n_cores is not None:
-        return [(_rate_for_cores(sc, n_cores)[0], n_cores)]
-    if n_cores_max < 1:
-        raise ValueError("n_cores_max must be at least 1")
-    s = sc.compute.cpu_speed
-    need = (sc.compute.c0 + sc.compute.kappa * sc.traffic.offered_load_bps) / s
-    pairs = []
-    # min() keeps an overflowing need out of math.floor; the walk is then empty.
-    for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
-        if n * s == (n - 1) * s:
-            break
-        try:
-            rate, clamped = _rate_for_cores(sc, n)
-        except (InfeasibleLoadError, InfeasibleScenarioError):
-            continue  # no stable rate on n cores
-        pairs.append((rate, n))
-        # Candidate rates rise with n, so the first one over the link cap
-        # ends the walk too; the evaluate step refuses it.
-        if not clamped or over_link_cap(rate, sc.link.bandwidth_hz):
-            break
-    if not pairs:
-        raise InfeasibleScenarioError(
-            f"no stable operating point with up to {n_cores_max} core(s) "
-            f"for offered load {sc.traffic.offered_load_bps:.6g} bit/s"
-        )
+        pairs = [(_rate_for_cores(sc, n_cores)[0], n_cores)]
+    else:
+        if n_cores_max < 1:
+            raise ValueError("n_cores_max must be at least 1")
+        s = sc.compute.cpu_speed
+        need = (sc.compute.c0 + sc.compute.kappa * sc.traffic.offered_load_bps) / s
+        pairs = []
+        # min() keeps an overflowing need out of math.floor; the walk is then empty.
+        for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
+            if n * s == (n - 1) * s:
+                break
+            try:
+                rate, clamped = _rate_for_cores(sc, n)
+            except (InfeasibleLoadError, InfeasibleScenarioError):
+                continue  # no stable rate on n cores
+            pairs.append((rate, n))
+            if not clamped or over_link_cap(rate, sc.link.bandwidth_hz):
+                break
+        if not pairs:
+            raise InfeasibleScenarioError(
+                f"no stable operating point with up to {n_cores_max} core(s) "
+                f"for offered load {sc.traffic.offered_load_bps:.6g} bit/s"
+            )
+    if over_link_cap(pairs[-1][0], sc.link.bandwidth_hz):
+        del pairs[-1]
+        if not pairs:
+            raise LinkCapacityError.at(max_exponent=MAX_RATE_EXPONENT)
     return pairs
 
 
-def best_points(cases: list[tuple[Scenario, int | None]],
+def best_points(sc: Scenario, cases: list[tuple[TrafficParams, float, int | None]],
                 n_cores_max: int) -> list[JointResult | InfeasibleError]:
-    """The optimum of each (scenario, n_cores) case, or the refusal that
-    leaves it none; n_cores None searches the counts up to n_cores_max.
+    """The optimum of each (traffic, alpha, n_cores) case on sc's station,
+    or the refusal that leaves it none; n_cores None searches the counts
+    up to n_cores_max. A case that passes sc's own traffic and alpha
+    reuses sc; any other case solves on a copy.
 
-    The scenarios may differ in traffic and alpha but share the compute,
-    radio and link of the first. Each case's candidates are chosen on
-    their own (_choose), then every candidate of every case is evaluated
-    in one cost call. A case's candidates end before its first refused
-    one, and that refusal is the case's result when it comes first. The
-    winner is the cheapest candidate left; costs within TIE_REL_TOL are
-    ties, and the smaller core count wins a tie.
+    Each case's candidates are chosen on their own (_choose), and all of
+    them are priced in one cost call. The cheapest wins; costs within
+    TIE_REL_TOL are ties, and the smaller core count wins a tie.
     """
-    base = cases[0][0]
-    shared = (base.compute, base.radio, base.link)
-    chosen, rates, counts, lams, sizes, alphas = [], [], [], [], [], []
-    for sc, n_cores in cases:
-        if (sc.compute, sc.radio, sc.link) != shared:
-            raise ValueError("the cases must share compute, radio and link")
+    spans, rates, counts, lams, sizes, alphas = [], [], [], [], [], []
+    for traffic, alpha, n_cores in cases:
+        sc_case = (sc if traffic is sc.traffic and alpha == sc.alpha
+                   else replace(sc, traffic=traffic, alpha=alpha))
         try:
-            pairs = _choose(sc, n_cores, n_cores_max)
+            found = _choose(sc_case, n_cores, n_cores_max)
         except InfeasibleError as exc:
-            chosen.append(exc)
+            spans.append(exc)
             continue
-        chosen.append((sc, len(rates), len(rates) + len(pairs)))
-        for rate, n in pairs:
-            rates.append(rate)
-            counts.append(n)
-        lams += [sc.traffic.arrival_rate] * len(pairs)
-        sizes += [sc.traffic.file_size_bits] * len(pairs)
-        alphas += [sc.alpha] * len(pairs)
+        spans.append(range(len(rates), len(rates) + len(found)))
+        rates += [rate for rate, _ in found]
+        counts += [n for _, n in found]
+        lams += [traffic.arrival_rate] * len(found)
+        sizes += [traffic.file_size_bits] * len(found)
+        alphas += [alpha] * len(found)
 
-    c = cost(scenario_profile(base, np.array(counts, dtype=float)),
+    c = cost(scenario_profile(sc, np.array(counts, dtype=float)),
              TrafficParams(np.array(lams, dtype=float), np.array(sizes, dtype=float)),
              np.array(alphas, dtype=float), np.array(rates))
-    codes = c.code.tolist()
     fields = [f.tolist() for f in c[1:]]
     results: list[JointResult | InfeasibleError] = []
-    for case in chosen:
+    for case in spans:
         if isinstance(case, InfeasibleError):
             results.append(case)
             continue
-        sc, lo, hi = case
-        cut = next((i for i in range(lo, hi) if codes[i]), hi)
-        if cut == lo:
-            try:
-                raise_refusal(codes[lo], rates[lo], scenario_profile(sc, counts[lo]),
-                              sc.traffic.offered_load_bps)
-            except InfeasibleError as exc:
-                results.append(exc)
-            continue
         points = tuple(TradeoffPoint(rates[i], counts[i], *(f[i] for f in fields))
-                       for i in range(lo, cut))
+                       for i in case)
         best_cost = min(p.cost_z for p in points)
         # Ascending core count, so the first tie wins.
         p = next(p for p in points if p.cost_z <= best_cost * (1.0 + TIE_REL_TOL))
@@ -587,14 +586,13 @@ def joint_optimize(sc: Scenario, n_cores_max: int, n_cores: int | None = None) -
     While the fixed-N_c minimizer exceeds the core capacity, the
     capacity point is kept as a candidate and the walk continues; once
     the minimizer becomes achievable it is added and the walk stops,
-    because further cores only add idle-floor power. Candidate rates
-    rise with N_c, so the first one the link cap refuses also ends the
-    walk; that refusal is raised only when no candidate came before it.
-    The walk also stops where one more core adds no capacity in floats.
-    Ties within 1e-9 relative cost go to the smaller core count. This is
-    best_points on one case.
+    because further cores only add idle-floor power. The first candidate
+    over the link cap ends the walk; _choose drops it, and raises
+    LinkCapacityError if none is left. The walk also stops where one
+    more core adds no capacity in floats. Ties within 1e-9 relative cost
+    go to the smaller core count. This is best_points on one case.
     """
-    (result,) = best_points([(sc, n_cores)], n_cores_max)
+    (result,) = best_points(sc, [(sc.traffic, sc.alpha, n_cores)], n_cores_max)
     if isinstance(result, InfeasibleError):
         raise result
     return result

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference_walk import reference_joint
+from reference_walk import reference_best_point
 from vbsenergy import optimize
 from vbsenergy.errors import (
     ConvergenceError,
@@ -40,7 +40,7 @@ from vbsenergy.optimize import (
     tradeoff_curve,
 )
 from vbsenergy.power import ComputeParams, EarthParams, RadioParams, earth_profile
-from vbsenergy.queueing import TrafficParams, average_power, queue_metrics
+from vbsenergy.queueing import TrafficParams, average_power, cost, queue_metrics
 
 # Hand-checked reference numbers for the default scenario:
 #   r_M(1) = 37142857.14285714,  r_M(2) = 94285714.28571428
@@ -600,11 +600,11 @@ def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch):
     assert len(calls) <= 10  # the reference makes 45
 
 
-def _joint_outcome(sc, n_cores_max, joint):
+def _joint_outcome(search, *args):
     """A joint search's winner and candidates in float.hex, or the type
     and message of what it raised."""
     try:
-        res = joint(sc, n_cores_max)
+        res = search(*args)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
     hexed = [tuple(x if isinstance(x, int) else x.hex() for x in p)
@@ -626,19 +626,34 @@ def joint_scenarios(draw):
     return Scenario(compute=compute, radio=radio, traffic=traffic, alpha=alpha)
 
 
+LINK_CAPPED = replace(Scenario(), traffic=TrafficParams(arrival_rate=6.25))
+COUNTS = st.none() | st.integers(1, 64)
+
+
 @settings(PROPERTY_SETTINGS, max_examples=300)
-@given(sc=joint_scenarios(), n_cores_max=st.integers(1, 40))
-@example(sc=replace(Scenario(), traffic=TrafficParams(arrival_rate=6.25)), n_cores_max=30)
-@example(sc=replace(Scenario(), traffic=TrafficParams(arrival_rate=80.0)), n_cores_max=40)
-@example(sc=Scenario(traffic=TrafficParams(arrival_rate=3.0)), n_cores_max=1)
-@example(sc=Scenario(alpha=10.0), n_cores_max=8)
-def test_joint_optimize_equals_the_per_candidate_walk(sc, n_cores_max):
-    assert (_joint_outcome(sc, n_cores_max, joint_optimize)
-            == _joint_outcome(sc, n_cores_max, reference_joint))
+@given(sc=joint_scenarios(), n_cores_max=st.integers(1, 40), n_cores=COUNTS)
+@example(sc=LINK_CAPPED, n_cores_max=30, n_cores=None)
+@example(sc=LINK_CAPPED, n_cores_max=30, n_cores=22)
+@example(sc=replace(Scenario(), traffic=TrafficParams(arrival_rate=80.0)), n_cores_max=40,
+         n_cores=None)
+@example(sc=Scenario(traffic=TrafficParams(arrival_rate=3.0)), n_cores_max=1, n_cores=None)
+@example(sc=Scenario(alpha=10.0), n_cores_max=8, n_cores=None)
+def test_joint_optimize_equals_the_per_candidate_walk(sc, n_cores_max, n_cores):
+    assert (_joint_outcome(joint_optimize, sc, n_cores_max, n_cores)
+            == _joint_outcome(reference_best_point, sc, n_cores, n_cores_max))
 
 
-def test_best_points_refuses_cases_that_do_not_share_the_station():
-    sc = Scenario()
-    other = replace(sc, compute=replace(sc.compute, kappa=30.0))
-    with pytest.raises(ValueError, match="share compute, radio and link"):
-        optimize.best_points([(sc, None), (other, None)], 8)
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(sc=joint_scenarios(), n_cores_max=st.integers(1, 40), n_cores=COUNTS)
+# The walk's clamped candidate on 22 cores is over the link cap, and so
+# is a fixed count of 22, whose only candidate it is.
+@example(sc=LINK_CAPPED, n_cores_max=30, n_cores=None)
+@example(sc=LINK_CAPPED, n_cores_max=30, n_cores=22)
+def test_every_chosen_candidate_is_served(sc, n_cores_max, n_cores):
+    try:
+        pairs = optimize._choose(sc, n_cores, n_cores_max)
+    except InfeasibleError:
+        return
+    rates, counts = (np.array(x, dtype=float) for x in zip(*pairs))
+    c = cost(scenario_profile(sc, counts), sc.traffic, sc.alpha, rates)
+    assert c.code.tolist() == [0] * len(pairs)
