@@ -7,17 +7,9 @@ served data rate and with the number of provisioned cores.
 """
 import numpy as np
 
-from vbsenergy import (
-    ComputeParams,
-    RadioParams,
-    LinkBudget,
-    bbu_power,
-    cpu_load,
-    max_supportable_rate,
-    rrh_power,
-    tx_power_for_rate,
-    vbs_profile,
-)
+from vbsenergy.optimize import max_supportable_rate
+from vbsenergy.power import ComputeParams, RadioParams, bbu_power, cpu_load, rrh_power, vbs_profile
+from vbsenergy.radio import LinkBudget, tx_power_for_rate
 
 
 def main() -> None:

@@ -7,16 +7,14 @@ the curve, finds the minimum, and shows the two ways it can disappear.
 """
 import numpy as np
 
-from vbsenergy import (
-    Scenario,
-    TrafficParams,
+from vbsenergy import Scenario, evaluate_point
+from vbsenergy.optimize import (
     asymptotic_power,
     energy_optimal_exists,
     energy_optimal_rate,
-    evaluate_point,
-    queue_metrics,
     tradeoff_curve,
 )
+from vbsenergy.queueing import TrafficParams, queue_metrics
 from dataclasses import replace
 
 

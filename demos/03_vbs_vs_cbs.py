@@ -7,18 +7,10 @@ both get to pick their favorite service rate.
 """
 from dataclasses import replace
 
-from vbsenergy import (
-    EarthParams,
-    Scenario,
-    TrafficParams,
-    average_power,
-    cores_needed,
-    earth_energy_optimal_rate,
-    earth_profile,
-    joint_optimize,
-    queue_metrics,
-    scenario_profile,
-)
+from vbsenergy import Scenario, joint_optimize
+from vbsenergy.optimize import cores_needed, earth_energy_optimal_rate, scenario_profile
+from vbsenergy.power import EarthParams, earth_profile
+from vbsenergy.queueing import TrafficParams, average_power, queue_metrics
 
 
 def main() -> None:

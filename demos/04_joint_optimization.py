@@ -8,15 +8,9 @@ cost by a fixed occupancy-times-static-draw increment.
 """
 from dataclasses import replace
 
-from vbsenergy import (
-    Scenario,
-    TrafficParams,
-    cost,
-    evaluate_point,
-    joint_optimize,
-    scenario_profile,
-    solve_optimal_rate,
-)
+from vbsenergy import Scenario, evaluate_point, joint_optimize
+from vbsenergy.optimize import scenario_profile, solve_optimal_rate
+from vbsenergy.queueing import TrafficParams, cost
 
 
 def main() -> None:

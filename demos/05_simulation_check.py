@@ -8,13 +8,9 @@ sizes should land on the same curves as exponential ones.
 """
 from dataclasses import replace
 
-from vbsenergy import (
-    Scenario,
-    SimConfig,
-    cores_needed,
-    scenario_profile,
-    validate_against_analytic,
-)
+from vbsenergy import Scenario
+from vbsenergy.optimize import cores_needed, scenario_profile
+from vbsenergy.simulate import SimConfig, validate_against_analytic
 
 
 def run_one(sc: Scenario, rate: float, dist: str, seed: int) -> None:

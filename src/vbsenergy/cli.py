@@ -4,10 +4,13 @@ Subcommands evaluate operating points (power), optimize rate and core
 count (optimize), sweep a parameter (sweep), compare against the macro
 baseline (compare), run the event simulator (simulate), and print the
 effective configuration (config-show). Data goes to stdout, or to
---output, as CSV: compare has its own columns, every other command the
-columns of vbsenergy.results.COLUMNS. Diagnostics go to stderr. main
-reads the settings and then opens --output, once each and before any
-work, so a refused command leaves the file empty.
+--output, as CSV: compare has its own columns, COMPARE_COLUMNS, every
+other command the columns of COLUMNS. This module owns the format: a
+row is a tuple in its header's order, floats are written as '%.12g',
+missing values as empty fields, and every line ends in a bare newline,
+so equal inputs give byte-equal files on any platform. Diagnostics go
+to stderr. main reads the settings and then opens --output, once each
+and before any work, so a refused command leaves the file empty.
 
 Exit codes: 0 success, 2 usage or configuration error, a value outside
 the model's domain, an output or trace file that cannot be opened, or an
@@ -19,6 +22,7 @@ and status each refusal gets.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -42,7 +46,6 @@ from .optimize import (  # noqa: F401
 )
 from .power import earth_profile
 from .queueing import average_power, cost, queue_metrics
-from .results import write_rows
 from .simulate import SimConfig, validate_against_analytic
 from .units import COUNT_LIMIT, parse_quantity
 
@@ -50,6 +53,21 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VALIDATION = 4
+
+COLUMNS = (
+    "scenario_id",
+    "command",
+    "rate_bps",
+    "n_cores",
+    "rho",
+    "mean_queue_len",
+    "mean_delay_s",
+    "avg_power_w",
+    "cost_z",
+    "source",
+    "seed",
+    "status",
+)
 
 COMPARE_COLUMNS = (
     "scenario_id",
@@ -118,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"variable in {{{', '.join(SWEEP_VARS)}}}; 'log' for "
                          "a geometric grid; units are SI base units")
     sp.add_argument("--cores", metavar="N",
-                    help="fix the core count instead of auto-sizing")
+                    help="fix the core count instead of auto-sizing "
+                         "(refused by an n_cores sweep)")
     sp.add_argument("--cores-max", dest="run.n_cores_max", metavar="N",
                     help="search limit for optimizing sweeps")
     add_traffic_flags(sp)
@@ -181,6 +200,21 @@ def _out(path: str | None):
     return nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
+def format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def write_rows(stream, rows, header=COLUMNS) -> None:
+    """Write a header line and rows as CSV with LF line endings."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_cell(v) for v in row] for row in rows)
+
+
 def _row(sid: str, command: str, p, status: str = "ok", n_cores: int | None = None) -> tuple:
     """An analytic row in COLUMNS order from a TradeoffPoint's seven fields,
     the count as an int; a refused point (None) has a blank body."""
@@ -228,10 +262,10 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"sweep grid {grid!r} needs finite endpoints")
     if steps < 1:
         raise ConfigError("sweep needs at least one step")
-    if steps == 1:
-        return name, [start]
     if len(parts) == 4 and (start <= 0 or stop <= 0):
         raise ConfigError("log grids need positive endpoints")
+    if steps == 1:
+        return name, [start]
     grid_fn = np.geomspace if len(parts) == 4 else np.linspace
     # Endpoints of opposite sign near the float limit overflow their span.
     with np.errstate(all="ignore"):
@@ -251,6 +285,8 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
     base = _scenario_tag(sc)
     var, values = _parse_sweep_spec(args.spec)
     if var == "n_cores":
+        if args.cores is not None:
+            raise ConfigError("an n_cores sweep sets the core count itself; drop --cores")
         for v in values:
             if not 1 <= v < COUNT_LIMIT or v != int(v):
                 raise ConfigError(f"n_cores sweep needs integers in [1, 2**53), got {v:g}")

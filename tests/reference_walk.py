@@ -18,7 +18,7 @@ from vbsenergy.optimize import (
     best_rate_for_cores,
     evaluate_point,
 )
-from vbsenergy.results import write_rows
+from vbsenergy.cli import write_rows
 
 
 def reference_joint(sc, n_cores_max: int) -> JointResult:

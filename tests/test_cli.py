@@ -174,7 +174,8 @@ def batched_sweeps(draw):
             "file_size": st.floats(1e5, 3e8),
         }[var], min_size=2, max_size=2)))
     argv = ["sweep", f"{var}={lo!r}:{hi!r}:{steps}"]
-    if draw(st.booleans()):
+    # An n_cores sweep refuses --cores; the refusal has its own test.
+    if var != "n_cores" and draw(st.booleans()):
         argv += ["--cores", str(draw(st.integers(1, 8)))]
     argv += ["--cores-max", str(draw(st.integers(1, 30)))]
     for flag, values in (("--alpha", st.sampled_from(("0", "2", "10", "1e-6"))),
@@ -344,6 +345,7 @@ REFUSED = [
     (("sweep", "lambda=0:1:3"), 2),
     (("sweep", "lambda0:1:3"), 2),
     (("sweep", "lambda=0:1:3:log"), 2),
+    (("sweep", "alpha=0:1:1:log"), 2),
     (("sweep", "file_size=-1:1e7:3"), 2),
     (("sweep", "alpha=-1:1:3", "--cores", "2"), 2),
     (("optimize", "--cores", "0"), 2),
@@ -365,6 +367,9 @@ REFUSED = [
     (("sweep", "target_delay=0.1:1:3", "--cores", "100000000000000000000"), 2),
     (("power", "--rate", "50Mbps", "--cores", "100000000000000000000"), 2),
     (("sweep", "n_cores=1:9007199254740992:2"), 2),
+    # An n_cores sweep sets the count itself, so --cores is refused.
+    (("sweep", "n_cores=1:3:3", "--cores", "0"), 2),
+    (("sweep", "n_cores=1:3:3", "--cores", "7"), 2),
     (("sweep", "lambda=0.5:1.5:3", "--cores-max", "0"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--seed", "-1"), 2),

@@ -1,11 +1,16 @@
 """The narrative demos run end to end against the current API."""
+import ast
 import hashlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+import vbsenergy
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # sha256 of each demo's stdout, recorded before tradeoff_curve returned columns.
 STDOUT_SHA256 = {
@@ -27,3 +32,14 @@ def test_demo_runs(path, capsys):
     out = capsys.readouterr().out
     assert out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[path.stem]
+
+
+def test_top_level_exports_exactly_the_readme_example_imports():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    imported = {alias.name for node in ast.walk(ast.parse(example))
+                if isinstance(node, ast.ImportFrom) and node.module == "vbsenergy"
+                for alias in node.names}
+    assert imported
+    assert set(vbsenergy.__all__) == imported
