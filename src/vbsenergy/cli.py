@@ -8,9 +8,13 @@ effective configuration (config-show). Data goes to stdout, or to
 other command the columns of COLUMNS. This module owns the format: a
 row is a tuple in its header's order, floats are written as '%.12g',
 missing values as empty fields, and every line ends in a bare newline,
-so equal inputs give byte-equal files on any platform. Diagnostics go
-to stderr. main reads the settings and then opens --output, once each
-and before any work, so a refused command leaves the file empty.
+so equal inputs give byte-equal files on any platform. write_rows
+formats a table column by column: it picks each column's formatter once
+from the types of its cells and writes the whole table in one call.
+Diagnostics go to stderr. The argument parser is built on the first
+main call and reused by every later call in the process. main reads the
+settings and then opens --output, once each and before any work, so a
+refused command leaves the file empty.
 
 Exit codes: 0 success, 2 usage or configuration error, a value outside
 the model's domain, an output or trace file that cannot be opened, or an
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -87,6 +92,7 @@ _COMPARE_DELAY_MAX_S = 5.0
 _COMPARE_DELAY_POINTS = 40
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="vbsenergy",
@@ -208,11 +214,50 @@ def format_cell(value) -> str:
     return str(value)
 
 
+_FLOAT_FORMAT = "%.12g".__mod__
+# The formatter of a column whose cells are all of one of these types.
+_KIND_FORMATS = {float: _FLOAT_FORMAT, int: str, str: str}
+
+
+def _format_column(cells) -> tuple[list[str], bool]:
+    """A column's fields, each as format_cell writes it, and whether a
+    field may need quoting. The formatter is chosen once from the
+    column's cell types, and None is an empty field; a column of other
+    or mixed types goes through format_cell cell by cell."""
+    kinds = set(map(type, cells))
+    blanks = type(None) in kinds
+    kinds.discard(type(None))
+    formats = {_KIND_FORMATS.get(k, format_cell) for k in kinds}
+    fmt = formats.pop() if len(formats) == 1 else format_cell
+    if blanks:
+        fields = [fmt(v) if v is not None else "" for v in cells]
+    else:
+        fields = list(map(fmt, cells))
+    return fields, fmt is not _FLOAT_FORMAT and _needs_quoting(fields)
+
+
+def _needs_quoting(fields) -> bool:
+    text = "".join(fields)
+    return any(c in text for c in ',"\r\n')
+
+
 def write_rows(stream, rows, header=COLUMNS) -> None:
-    """Write a header line and rows as CSV with LF line endings."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([format_cell(v) for v in row] for row in rows)
+    """Write a header line and rows as CSV with LF line endings.
+
+    The rows are formatted column by column and written in one call. A
+    field that holds a comma, a quote or a line break needs quoting, and
+    only a column that is not all floats can hold one; if one does, the
+    table goes through csv.writer, which quotes it."""
+    columns, quote = [], _needs_quoting(header)
+    for cells in zip(*rows):
+        fields, special = _format_column(cells)
+        columns.append(fields)
+        quote = quote or special
+    lines = [header, *zip(*columns)]
+    if quote:
+        csv.writer(stream, lineterminator="\n").writerows(lines)
+    else:
+        stream.write("\n".join(map(",".join, lines)) + "\n")
 
 
 def _row(sid: str, command: str, p, status: str = "ok", n_cores: int | None = None) -> tuple:

@@ -1,10 +1,12 @@
 """The joint search and the sweep loop as they were before candidates were
 chosen and evaluated in two steps: each candidate is evaluated as the
 walk reaches it, and a sweep solves its values one at a time. Kept
-verbatim as references for the batched code."""
+verbatim as references for the batched code; the sweep loop writes
+through the reference CSV writer."""
 import math
 from dataclasses import replace
 
+from reference_writer import write_rows
 from vbsenergy import cli, optimize
 from vbsenergy.errors import (
     InfeasibleError,
@@ -18,7 +20,6 @@ from vbsenergy.optimize import (
     best_rate_for_cores,
     evaluate_point,
 )
-from vbsenergy.cli import write_rows
 
 
 def reference_joint(sc, n_cores_max: int) -> JointResult:

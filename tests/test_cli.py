@@ -3,18 +3,22 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_writer
 from reference_walk import reference_sweep
-from vbsenergy import optimize
-from vbsenergy.cli import SWEEP_VARS, main
+from vbsenergy import cli, optimize
+from vbsenergy.cli import COLUMNS, COMPARE_COLUMNS, SWEEP_VARS, build_parser, main, write_rows
 from vbsenergy.config import _REGISTRY
 
 
@@ -506,6 +510,122 @@ def test_stdout_matches_the_recorded_bytes(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Cells of every kind a table might hold. A column draws a few cells from
+# at most two kinds, with or without blanks, so the writer's one-kind
+# columns are drawn as often as its mixed ones, and fills its rows from
+# them at random (drawing every cell would make the test slow).
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e308])
+CELL_KINDS = {
+    "float": _FLOATS,
+    "np.float64": _FLOATS.map(np.float64),
+    "int": st.integers() | st.integers(2**53 - 1, 2**70),
+    "bool": st.booleans(),
+    "str": st.text(st.sampled_from('ab_.[]=,"\n\r'), max_size=6),
+}
+COLUMN_CELLS = st.one_of([
+    st.lists(st.one_of(*(CELL_KINDS[k] for k in kinds), *blanks), min_size=1, max_size=6)
+    for n in range(3) for kinds in itertools.combinations(sorted(CELL_KINDS), n)
+    for blanks in ([st.none()], []) if kinds or blanks
+])
+
+
+@st.composite
+def csv_tables(draw):
+    header = draw(st.sampled_from([COLUMNS, COMPARE_COLUMNS]))
+    n_rows = draw(st.integers(0, 50))
+    rnd = draw(st.randoms(use_true_random=True))
+    columns = []
+    for _ in header:
+        cells = draw(COLUMN_CELLS)
+        columns.append([rnd.choice(cells) for _ in range(n_rows)])
+    return header, list(zip(*columns))
+
+
+def assert_writes_the_reference_bytes(rows, header=COLUMNS):
+    got, want = io.StringIO(), io.StringIO()
+    write_rows(got, rows, header)
+    reference_writer.write_rows(want, rows, header)
+    assert got.getvalue() == want.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(csv_tables())
+def test_column_writer_writes_the_reference_bytes(table):
+    header, rows = table
+    assert_writes_the_reference_bytes(rows, header)
+
+
+@pytest.mark.parametrize("special", [",", '"', "\n", "\r", ""],
+                         ids=["comma", "quote", "newline", "carriage-return", "none"])
+def test_column_writer_quotes_a_string_column_as_the_reference(special):
+    # One special character in a table of plain fields; random tables
+    # nearly always hold several.
+    row = (f"a{special}b", "sweep", 1.5, 2, 0.5, 1.0, 0.25, 25.0, 27.5, "analytic", None, "ok")
+    assert_writes_the_reference_bytes([row, row])
+
+
+def test_column_writer_blanks_an_int_and_none_column_and_an_all_none_column():
+    # An auto-sized sweep gives a refused row no core count, so n_cores
+    # mixes ints and None; an analytic row never has a seed.
+    ok = cli._row("a", "sweep", (5e7, 2, 0.5, 1.0, 0.26, 25.8, 27.1))
+    refused = cli._row("b", "sweep", None, "infeasible")
+    rows = [ok, refused, ok]
+    n_cores, seed = COLUMNS.index("n_cores"), COLUMNS.index("seed")
+    assert {type(r[n_cores]) for r in rows} == {int, type(None)}
+    assert {r[seed] for r in rows} == {None}
+    assert_writes_the_reference_bytes(rows)
+    out = io.StringIO()
+    write_rows(out, rows)
+    assert out.getvalue().splitlines()[1:3] == [
+        "a,sweep,50000000,2,0.5,1,0.26,25.8,27.1,analytic,,ok",
+        "b,sweep,,,,,,,,analytic,,infeasible",
+    ]
+
+
+# Calls in one process that could leak parser state into the next, with
+# their exit codes: a flag then its absence, a usage error then a valid
+# call, and a file output then stdout. OUTPUT stands for a file path.
+OUTPUT = "OUTPUT"
+PARSER_SEQUENCES = [
+    [(("optimize", "--alpha", "5"), 0), (("optimize",), 0)],
+    [(("optimize", "--cores"), 2), (("optimize", "--cores", "2"), 0)],
+    [(("power", "--rate", "50Mbps", "--cores", "2", "--output", OUTPUT), 0),
+     (("power", "--rate", "50Mbps", "--cores", "2"), 0)],
+]
+
+
+@pytest.mark.parametrize("sequence", PARSER_SEQUENCES, ids=[
+    " then ".join(" ".join(argv) for argv, _ in seq) for seq in PARSER_SEQUENCES])
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path, sequence):
+    # Usage messages wrap at the terminal width, which COLUMNS fixes.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("VBSENERGY_CONFIG", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    assert build_parser() is build_parser()
+
+    def run(i, argv, side):
+        path = tmp_path / f"{side}-{i}.csv"
+        argv = [str(path) if a == OUTPUT else a for a in argv]
+        if side == "fresh":
+            proc = subprocess.run([sys.executable, "-m", "vbsenergy.cli", *argv],
+                                  env=env, capture_output=True)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        else:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out, err = captured.out.encode(), captured.err.encode()
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    in_process = [run(i, argv, "in-process") for i, (argv, _) in enumerate(sequence)]
+    assert [r[0] for r in in_process] == [code for _, code in sequence]
+    for i, ((argv, _), got) in enumerate(zip(sequence, in_process)):
+        assert got == run(i, argv, "fresh"), argv
 
 
 def test_tiny_load_with_delay_penalty_brackets_the_root(capsys):
