@@ -12,12 +12,16 @@ arriving at time a with size x finishes when C reaches C(a) + x. Events
 are therefore just arrivals and the smallest finish tag in a heap, and
 each event advances the clock in O(log n).
 
-The event loop only moves the queue. It logs the clock and the queue
-length after every event, and the flow index of every departure, into
-typed arrays; everything else is read from that log afterwards. Each
-pair of consecutive entries is a constant-occupancy segment, the events
-where the length falls are departures, and those where it reaches zero
-end a sleep/wake cycle. The optional trace replays the same log.
+The event loop only moves the queue. It runs in two phases: while the
+system is idle the next event must be an arrival, and a busy period
+runs until a local count of the flows present falls to zero. After every
+event it logs the clock, and one event entry: the flow index of a
+departure, or -1 for an arrival, into typed arrays. Everything else is
+read from that log afterwards. One cumulative sum over the entries gives
+the queue length after every event; each pair of consecutive events is
+a constant-occupancy segment, and the events where the length reaches
+zero end a sleep/wake cycle. The optional trace replays the same log,
+a chunk of lines at a time.
 
 Energy bookkeeping: busy intervals cost P_busy(r), idle intervals cost
 P_sleep, and each completed sleep/wake cycle costs 2 * E_switch, charged
@@ -224,20 +228,43 @@ def _batch_mean_by_time(times, values, edges):
     return sums[mask] / counts[mask], counts
 
 
-def _write_trace(fh, log_t, log_n, p_busy: float, p_sleep: float, e_sw: float) -> None:
-    """Replay the event log as one tab-separated line per event, with the
+# Events per chunk of trace lines: each chunk's energies, fields and
+# text are built and written together, so the writer's memory does not
+# grow with the run.
+_TRACE_CHUNK = 2048
+_TRACE_LINE = "%.9f\t%s\t%d\t%.6f\n"
+_EVENT_NAMES = np.array(["depart", "arrive"], dtype=object)  # 1 where n grew
+
+
+def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
+    """Replay the event log (clock t and queue length n, from the start
+    and after every event) as one tab-separated line per event, with the
     supply energy drawn so far; an emptying's 2 * E_switch is charged
-    after its line."""
+    after its line.
+
+    The energy is one running sum over interleaved increments: a
+    segment's dt * power (0.0 when dt <= 0), then 2 * E_switch where the
+    queue empties (else 0.0). np.add.accumulate adds left to right, so
+    every partial sum has the bits of a Python += chain.
+    """
     fh.write("time_s\tevent\tqueue_len\tenergy_j\n")
     energy = 0.0
-    for k in range(1, len(log_t)):
-        now, n, n_prev = log_t[k], log_n[k], log_n[k - 1]
-        dt = now - log_t[k - 1]
-        if dt > 0.0:
-            energy += dt * (p_busy if n_prev else p_sleep)
-        fh.write(f"{now:.9f}\t{'arrive' if n > n_prev else 'depart'}\t{n}\t{energy:.6f}\n")
-        if not n:
-            energy += 2.0 * e_sw
+    for a in range(1, len(t), _TRACE_CHUNK):
+        b = min(a + _TRACE_CHUNK, len(t))
+        now, n_ev, n_prev = t[a:b], n[a:b], n[a - 1:b - 1]
+        dt = now - t[a - 1:b - 1]
+        inc = np.empty(2 * (b - a) + 1)
+        inc[0] = energy
+        inc[1::2] = np.where(dt > 0.0, dt * np.where(n_prev != 0, p_busy, p_sleep), 0.0)
+        inc[2::2] = np.where(n_ev == 0, 2.0 * e_sw, 0.0)
+        np.add.accumulate(inc, out=inc)  # now the energy after each step
+        energy = float(inc[-1])
+        fields = [None] * (4 * (b - a))
+        fields[0::4] = now.tolist()
+        fields[1::4] = _EVENT_NAMES[(n_ev > n_prev).view(np.int8)].tolist()
+        fields[2::4] = n_ev.tolist()
+        fields[3::4] = inc[1::2].tolist()
+        fh.write(_TRACE_LINE * (b - a) % tuple(fields))
 
 
 def simulate(cfg: SimConfig) -> SimStats:
@@ -257,45 +284,65 @@ def simulate(cfg: SimConfig) -> SimStats:
     warm_count = int(cfg.warmup_fraction * n_total)
     t_warm = float(arrivals[warm_count]) if warm_count > 0 else 0.0
 
-    # The loop only moves the queue. heap holds (finish_tag, flow_index);
-    # the log holds the clock and queue length from the start and after
-    # every event, and the flow index of every departure.
+    # The loop only moves the queue. heap holds (finish_tag, flow_index)
+    # and k counts its entries; the log holds the clock from the start
+    # and after every event, and per event the flow index of a departure
+    # or -1 for an arrival.
     arr = arrivals.tolist()
     arr.append(math.inf)
     size = sizes.tolist()
+    del sizes
     heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     credit = 0.0
     now = 0.0
     log_t = array("d", [now])
-    log_n = array("q", [0])
-    log_flow = array("q")
+    log_ev = array("q")
+    put_t, put_ev = log_t.append, log_ev.append
     i = 0
-    while i < n_total or heap:
-        if heap:
-            t_done = now + (heap[0][0] - credit) * len(heap) / rate
-        else:
-            t_done = math.inf
-        arriving = arr[i] < t_done
-        t_new = arr[i] if arriving else t_done
+    while i < n_total:
+        # Idle: the heap is empty, so the next event is arrival i.
+        t_new = arr[i]
         if t_new > now:
-            if heap:
-                credit += (t_new - now) * rate / len(heap)
             now = t_new
-        if arriving:
-            heapq.heappush(heap, (credit + size[i], i))
-            i += 1
-        else:
-            credit, idx = heapq.heappop(heap)  # exact snap kills drift
-            log_flow.append(idx)
-        log_t.append(now)
-        log_n.append(len(heap))
-    del arr, size  # free the per-flow lists before the batch statistics
+        push(heap, (credit + size[i], i))
+        i += 1
+        put_t(now)
+        put_ev(-1)
+        k = 1
+        while k:  # busy until the queue empties
+            t_done = now + (heap[0][0] - credit) * k / rate
+            t_new = arr[i]
+            if t_new < t_done:
+                if t_new > now:
+                    credit += (t_new - now) * rate / k
+                    now = t_new
+                push(heap, (credit + size[i], i))
+                i += 1
+                k += 1
+                put_ev(-1)
+            else:
+                if t_done > now:
+                    credit += (t_done - now) * rate / k
+                    now = t_done
+                credit, idx = pop(heap)  # exact snap kills drift
+                k -= 1
+                put_ev(idx)
+            put_t(now)
+    del arr, size, put_t, put_ev  # free the per-flow lists before the batch statistics
+
+    # Queue lengths from the start and after every event: +1 per
+    # arrival, -1 per departure.
+    ev = np.frombuffer(log_ev, dtype=np.int64)
+    n = np.zeros(len(log_t), dtype=np.int64)
+    np.cumsum(np.where(ev < 0, 1, -1), out=n[1:])
+    flow = ev[ev >= 0]
+    del ev, log_ev  # the departures' flow indices are all the stats need
+    t = np.frombuffer(log_t)
     if trace:
         with trace:
-            _write_trace(trace, log_t, log_n, p_busy, p_sleep, e_sw)
+            _write_trace(trace, t, n, p_busy, p_sleep, e_sw)
 
-    t = np.frombuffer(log_t)
-    n = np.frombuffer(log_n, dtype=np.int64)
     t_prev, t_ev, n_prev, n_ev = t[:-1], t[1:], n[:-1], n[1:]
     window = now - t_warm
     edges = np.linspace(t_warm, now, N_BATCHES + 1)
@@ -309,7 +356,6 @@ def simulate(cfg: SimConfig) -> SimStats:
 
     # Departures are the events where n falls, and cycles end where it
     # reaches 0; both count only after the warm-up.
-    flow = np.frombuffer(log_flow, dtype=np.int64)
     late = flow >= warm_count
     delay_t = t_ev[n_ev < n_prev][late]
     delay_v = delay_t - arrivals[flow[late]]

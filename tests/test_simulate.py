@@ -2,12 +2,19 @@
 import dataclasses
 import hashlib
 import math
+import os
+import tempfile
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
+import reference_sim
+import vbsenergy.simulate as simulate_module
 from vbsenergy.errors import UnstableQueueError
 from vbsenergy.power import BusyPowerProfile, ComputeParams, RadioParams, vbs_profile
 from vbsenergy.queueing import TrafficParams
@@ -17,6 +24,7 @@ from vbsenergy.simulate import (
     SIZE_DISTRIBUTIONS,
     SimConfig,
     _draw_sizes,
+    _write_trace,
     halfwidth,
     simulate,
     validate_against_analytic,
@@ -117,6 +125,94 @@ def test_trace_matches_the_recorded_bytes(tmp_path):
     path = tmp_path / "events.tsv"
     simulate(make_config(n_arrivals=5000, trace_path=str(path)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_TRACE
+
+
+# Sixteen cores keep every rate down to rho = 0.05 within the core
+# capacity, so the busy power still depends on the rate.
+WIDE = vbs_profile(ComputeParams(n_cores=16), RadioParams(), GAIN)
+
+
+def _run_both(cfg, tmp):
+    """Digest and trace bytes of the package's run and the reference's."""
+    out = []
+    for run, name in ((simulate, "new.tsv"), (reference_sim.simulate, "ref.tsv")):
+        path = os.path.join(tmp, name)
+        stats = run(dataclasses.replace(cfg, trace_path=path))
+        with open(path, "rb") as fh:
+            out.append((_stats_digest(stats), fh.read()))
+    return out
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), law=hs.sampled_from(SIZE_DISTRIBUTIONS),
+       rho=hs.floats(0.05, 0.98), n_arrivals=hs.integers(1000, 6000),
+       warmup=hs.floats(0.0, 0.5))
+def test_loop_and_trace_equal_the_reference_bits(seed, law, rho, n_arrivals, warmup):
+    cfg = make_config(profile=WIDE, rate_bps=TrafficParams().offered_load_bps / rho,
+                      size_distribution=law, n_arrivals=n_arrivals,
+                      warmup_fraction=warmup, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = _run_both(cfg, tmp)
+    assert new[0] == ref[0]
+    assert new[1] == ref[1]
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.98])
+def test_deterministic_sizes_equal_the_reference_bits(tmp_path, rho):
+    # Equal sizes: flows leave in arrival order, and at low load most
+    # busy periods serve a single flow.
+    cfg = make_config(profile=WIDE, rate_bps=TrafficParams().offered_load_bps / rho,
+                      size_distribution="deterministic", n_arrivals=3000, seed=5)
+    new, ref = _run_both(cfg, str(tmp_path))
+    assert new == ref
+
+
+def test_an_arrival_at_a_departure_instant_comes_after_it(tmp_path, monkeypatch):
+    # At 1 bit/s, a flow whose size is the gap to the next arrival
+    # finishes exactly when that arrival comes if it is alone and the
+    # gap subtracts exactly, as it does for the first two arrivals here.
+    # The departure goes first: the queue empties and a new cycle starts.
+    cfg = make_config(traffic=TrafficParams(arrival_rate=1.0, file_size_bits=0.5),
+                      profile=WIDE, rate_bps=1.0, n_arrivals=1000, seed=3)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    gaps = np.append(np.diff(np.cumsum(rng.exponential(1.0, size=cfg.n_arrivals))), 1.0)
+    for module in (simulate_module, reference_sim):
+        monkeypatch.setattr(module, "_draw_sizes", lambda *args: gaps)
+    new, ref = _run_both(cfg, str(tmp_path))
+    assert new == ref
+    lines = [line.split("\t") for line in new[1].decode().splitlines()[1:4]]
+    assert [line[1:3] for line in lines] == [["arrive", "1"], ["depart", "0"], ["arrive", "1"]]
+    assert lines[1][0] == lines[2][0]
+
+
+# 1000 arrivals make 2000 events: a multiple of 1000 and of 2000, one
+# more than 1999, one less than 2001 and than 3 * 667; a chunk of 1
+# writes line by line.
+@pytest.mark.parametrize("chunk", [1, 667, 1000, 1999, 2000, 2001])
+def test_trace_chunks_write_the_reference_bytes(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(simulate_module, "_TRACE_CHUNK", chunk)
+    cfg = make_config(n_arrivals=1000, seed=21)
+    new, ref = _run_both(cfg, str(tmp_path))
+    assert new == ref
+
+
+def test_trace_writer_memory_does_not_grow_with_the_run(monkeypatch):
+    # The writer formats a chunk of lines at a time, so its peak
+    # allocation is set by the chunk size, not by the 200,000 events of
+    # this run; a writer that built the whole text at once peaks at
+    # about 40 MB here.
+    logged = []
+    monkeypatch.setattr(simulate_module, "_write_trace", lambda fh, *args: logged.append(args))
+    simulate(make_config(n_arrivals=100_000, trace_path=os.devnull))
+    (args,) = logged
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            _write_trace(fh, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_trace_energy_ties_to_the_stats(tmp_path):
