@@ -25,17 +25,17 @@ above the gap's rounding error. Outside the window the computed gap's
 sign is then known, so the bisection takes the same steps with about 6
 gap evaluations instead of 45. Where no window is certified every test
 evaluates the gap.
-Both read only the coefficients of a BusyPowerProfile, so the macro
-baseline shares them through earth_profile.
+The closed form and the gap read only the coefficients of a
+BusyPowerProfile, so the macro baseline's optimal rate comes from the
+same closed form through earth_profile.
 
-The joint search over core counts has two steps. Choose: the walk
-steps N_c upward, one scalar rate solve per count; once the fixed-N_c
-minimizer is achievable within the core capacity, larger N_c only add
-idle-floor power, so the walk stops there. Only this step decides
-which candidates can be served. Evaluate: best_points prices the
-candidates of many cases of one station, a sweep's values, in one
-kernel call, and each case's cheapest wins; joint_optimize is its
-one-case form.
+The joint search over core counts, whose walk joint_optimize states,
+has two steps. Choose (_choose): one scalar rate solve per core count,
+each returned as one _CountSolve record; only this step decides which
+candidates can be served. Evaluate (best_points): the candidates of
+many cases of one station, a sweep's values, are priced in one kernel
+call, and each case's cheapest wins; joint_optimize is its one-case
+form.
 
 Operating points are evaluated by the cost kernel queueing.cost:
 evaluate_point on one rate, raising its refusal; best_points as above;
@@ -163,6 +163,28 @@ class JointResult:
     n_cores: int
     point: TradeoffPoint
     candidates: tuple[TradeoffPoint, ...]
+
+
+class _CountSolve(NamedTuple):
+    """The outcome of one core count's rate solve. kind is one of
+    "optimum": the interior optimum fits under the core capacity;
+    "clamped": it does not, so rate_bps is the capacity;
+    "no-optimum": no finite-delay optimum exists, and rate_bps is the
+    capacity, the costliest stable rate on the count;
+    "refused": no stable rate on the count; rate_bps is None and
+    refusal holds the InfeasibleLoadError or InfeasibleScenarioError
+    a fixed count raises.
+    """
+
+    kind: str
+    rate_bps: float | None
+    refusal: InfeasibleError | None = None
+
+    def fixed_rate(self) -> float:
+        """The rate a fixed core count reports, or its refusal raised."""
+        if self.kind == "refused":
+            raise self.refusal
+        return self.rate_bps
 
 
 def max_supportable_rate(c: ComputeParams, n_cores: int | None = None) -> float:
@@ -457,52 +479,56 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     raise ConvergenceError("bisection failed to converge")
 
 
-def _rate_for_cores(sc: Scenario, n_cores: int) -> tuple[float, bool]:
-    """Best achievable rate on n_cores and whether the core capacity
-    clamped it: the interior optimum when it fits, else the capacity.
-    Raises InfeasibleLoadError or InfeasibleScenarioError when the cores
-    cannot reach a stable rate."""
-    r_cap = max_supportable_rate(sc.compute, n_cores)
+def _rate_for_cores(sc: Scenario, n_cores: int) -> _CountSolve:
+    """The outcome of solving one core count, the only place that turns
+    its refusals and a missing optimum into a record."""
+    try:
+        r_cap = max_supportable_rate(sc.compute, n_cores)
+    except InfeasibleLoadError as exc:
+        return _CountSolve("refused", None, exc)
     if r_cap <= sc.traffic.offered_load_bps * (1.0 + STABILITY_MARGIN):
-        raise InfeasibleScenarioError(
+        return _CountSolve("refused", None, InfeasibleScenarioError(
             f"{n_cores} core(s) cannot reach a stable rate for this load"
-        )
+        ))
     try:
         r_hat = solve_optimal_rate(sc, n_cores)
     except NoEnergyOptimumError:
         # No finite-delay minimum: the cost rises with the rate over the
         # whole stable region, so the capacity is the costliest stable
         # rate on n_cores, not the cheapest. It is what optimize reports.
-        return r_cap, True
+        return _CountSolve("no-optimum", r_cap)
     if r_hat <= r_cap:
-        return r_hat, False
-    return r_cap, True
+        return _CountSolve("optimum", r_hat)
+    return _CountSolve("clamped", r_cap)
 
 
 def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
     """Best achievable rate for a fixed core count: the interior optimum
     when it fits under the core capacity, else the capacity itself."""
-    return _rate_for_cores(sc, n_cores)[0]
+    return _rate_for_cores(sc, n_cores).fixed_rate()
 
 
 def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[float, int]]:
-    """The choose step of the joint search: the (rate, core count)
-    candidates of one scenario in ascending count that the cost kernel
-    serves, each rate from the scalar solver. A fixed n_cores gives its
-    best achievable rate; None walks the counts as joint_optimize
-    describes. Raises the refusal of a scenario left with no candidate.
+    """The choose step of joint_optimize, whose docstring states the walk:
+    the (rate, core count) candidates of one scenario in ascending count
+    that the cost kernel serves. A fixed n_cores gives its record's rate
+    or raises its refusal. The walk reads each count's _CountSolve kind:
+    it skips a refused count, keeps a clamped or no-optimum count and
+    goes on, and keeps the first optimum and stops. Raises the refusal
+    of a scenario left with no candidate.
 
-    Rates rise with the count and the walk stops at the first over the
-    link cap, so only the last candidate can be over it; it is dropped.
-    No other refusal applies. Every rate exceeds the load: capacities at
-    or below load * (1 + STABILITY_MARGIN) are refused, the closed form
-    exists only above the load, and the bisection stays above
-    load * (1 + eps). Every rate is at most max_supportable_rate,
-    (n s - c0) / kappa, which in floats never exceeds the profile's
-    max_rate_bps, ((1 + 1e-12) n s - c0) / kappa.
+    The walk stops at the first candidate over the link cap, so only the
+    last candidate can be over it; it is dropped. The rates need not
+    rise with the count: a no-optimum count's capacity can exceed the
+    next count's optimum. No other refusal applies. Every rate exceeds
+    the load: capacities at or below load * (1 + STABILITY_MARGIN) are
+    refused, the closed form exists only above the load, and the
+    bisection stays above load * (1 + eps). Every rate is at most
+    max_supportable_rate, (n s - c0) / kappa, which in floats never
+    exceeds the profile's max_rate_bps, ((1 + 1e-12) n s - c0) / kappa.
     """
     if n_cores is not None:
-        pairs = [(_rate_for_cores(sc, n_cores)[0], n_cores)]
+        pairs = [(_rate_for_cores(sc, n_cores).fixed_rate(), n_cores)]
     else:
         if n_cores_max < 1:
             raise ValueError("n_cores_max must be at least 1")
@@ -513,12 +539,11 @@ def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[f
         for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
             if n * s == (n - 1) * s:
                 break
-            try:
-                rate, clamped = _rate_for_cores(sc, n)
-            except (InfeasibleLoadError, InfeasibleScenarioError):
-                continue  # no stable rate on n cores
-            pairs.append((rate, n))
-            if not clamped or over_link_cap(rate, sc.link.bandwidth_hz):
+            solve = _rate_for_cores(sc, n)
+            if solve.kind == "refused":
+                continue
+            pairs.append((solve.rate_bps, n))
+            if solve.kind == "optimum" or over_link_cap(solve.rate_bps, sc.link.bandwidth_hz):
                 break
         if not pairs:
             raise InfeasibleScenarioError(
@@ -583,14 +608,16 @@ def joint_optimize(sc: Scenario, n_cores_max: int, n_cores: int | None = None) -
 
     Walks N_c up to n_cores_max, from floor((c0 + kappa * load) / s):
     every smaller count falls short of the load by s / kappa or more.
-    While the fixed-N_c minimizer exceeds the core capacity, the
-    capacity point is kept as a candidate and the walk continues; once
-    the minimizer becomes achievable it is added and the walk stops,
-    because further cores only add idle-floor power. The first candidate
-    over the link cap ends the walk; _choose drops it, and raises
-    LinkCapacityError if none is left. The walk also stops where one
-    more core adds no capacity in floats. Ties within 1e-9 relative cost
-    go to the smaller core count. This is best_points on one case.
+    A count with no stable rate is skipped. While the fixed-N_c
+    minimizer exceeds the core capacity, or no finite-delay minimizer
+    exists, the capacity point is kept as a candidate and the walk
+    continues; once the minimizer becomes achievable it is added and the
+    walk stops, because further cores only add idle-floor power. The
+    first candidate over the link cap ends the walk; _choose drops it,
+    and raises LinkCapacityError if none is left. The walk also stops
+    where one more core adds no capacity in floats. Ties within 1e-9
+    relative cost go to the smaller core count. This is best_points on
+    one case.
     """
     (result,) = best_points(sc, [(sc.traffic, sc.alpha, n_cores)], n_cores_max)
     if isinstance(result, InfeasibleError):

@@ -2,24 +2,52 @@
 chosen and evaluated in two steps: each candidate is evaluated as the
 walk reaches it, and a sweep solves its values one at a time. Kept
 verbatim as references for the batched code; the sweep loop writes
-through the reference CSV writer."""
+through the reference CSV writer. The per-count solve is the one from
+before it returned a record, so the walk here does not run the code it
+checks; only the scalar rate solver is shared."""
 import math
 from dataclasses import replace
 
 from reference_writer import write_rows
-from vbsenergy import cli, optimize
+from vbsenergy import cli
 from vbsenergy.errors import (
     InfeasibleError,
     InfeasibleLoadError,
     InfeasibleScenarioError,
+    NoEnergyOptimumError,
 )
 from vbsenergy.optimize import (
+    STABILITY_MARGIN,
     TIE_REL_TOL,
     JointResult,
+    Scenario,
     TradeoffPoint,
-    best_rate_for_cores,
     evaluate_point,
+    max_supportable_rate,
+    solve_optimal_rate,
 )
+
+
+def _rate_for_cores(sc: Scenario, n_cores: int) -> tuple[float, bool]:
+    """Best achievable rate on n_cores and whether the core capacity
+    clamped it: the interior optimum when it fits, else the capacity.
+    Raises InfeasibleLoadError or InfeasibleScenarioError when the cores
+    cannot reach a stable rate."""
+    r_cap = max_supportable_rate(sc.compute, n_cores)
+    if r_cap <= sc.traffic.offered_load_bps * (1.0 + STABILITY_MARGIN):
+        raise InfeasibleScenarioError(
+            f"{n_cores} core(s) cannot reach a stable rate for this load"
+        )
+    try:
+        r_hat = solve_optimal_rate(sc, n_cores)
+    except NoEnergyOptimumError:
+        # No finite-delay minimum: the cost rises with the rate over the
+        # whole stable region, so the capacity is the costliest stable
+        # rate on n_cores, not the cheapest. It is what optimize reports.
+        return r_cap, True
+    if r_hat <= r_cap:
+        return r_hat, False
+    return r_cap, True
 
 
 def reference_joint(sc, n_cores_max: int) -> JointResult:
@@ -32,7 +60,7 @@ def reference_joint(sc, n_cores_max: int) -> JointResult:
         if n * s == (n - 1) * s:
             break
         try:
-            rate, clamped = optimize._rate_for_cores(sc, n)
+            rate, clamped = _rate_for_cores(sc, n)
         except (InfeasibleLoadError, InfeasibleScenarioError):
             continue
         try:
@@ -60,7 +88,7 @@ def reference_joint(sc, n_cores_max: int) -> JointResult:
 def reference_best_point(sc, cores, cores_max: int) -> JointResult:
     if cores is None:
         return reference_joint(sc, cores_max)
-    point = evaluate_point(sc, best_rate_for_cores(sc, cores), cores)
+    point = evaluate_point(sc, _rate_for_cores(sc, cores)[0], cores)
     return JointResult(point.rate_bps, cores, point, (point,))
 
 

@@ -20,6 +20,7 @@ from reference_walk import reference_sweep
 from vbsenergy import cli, optimize
 from vbsenergy.cli import COLUMNS, COMPARE_COLUMNS, SWEEP_VARS, build_parser, main, write_rows
 from vbsenergy.config import _REGISTRY
+from vbsenergy.errors import InfeasibleLoadError, InfeasibleScenarioError
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,31 @@ def test_optimize_fixed_cores_and_verbose(capsys):
     assert int(row["n_cores"]) == 2
     assert float(row["rate_bps"]) == pytest.approx(63827550.204645, rel=1e-9)
     assert "candidate:" in err
+
+
+@pytest.mark.parametrize("config, override, error, message", [
+    ("", ["--lambda", "3/s"], InfeasibleScenarioError,
+     "1 core(s) cannot reach a stable rate for this load"),
+    ("[compute]\nc0 = 3e9\n", [], InfeasibleLoadError,
+     "1 core(s) cannot even run the rate-independent load"),
+], ids=["lambda", "c0"])
+def test_a_refused_fixed_count_raises_its_own_refusal(capsys, tmp_path, config, override,
+                                                       error, message):
+    cfg = tmp_path / "station.ini"
+    cfg.write_text(config)
+    settings = cli._settings(build_parser().parse_args(
+        ["--config", str(cfg), "optimize", *override]))
+    with pytest.raises(error) as refused:
+        optimize.joint_optimize(settings.scenario, settings.n_cores_max, 1)
+    assert type(refused.value) is error and str(refused.value) == message
+    code, out, err = run_cli(capsys, "--config", str(cfg), "optimize", "--cores", "1", *override)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_a_sweep_row_on_a_refused_count_reads_infeasible(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "n_cores=1:3:3", "--lambda", "3/s")
+    assert code == 0
+    assert [r["status"] for r in parse_rows(out)] == ["infeasible", "ok", "ok"]
 
 
 def test_optimize_with_overrides(capsys):

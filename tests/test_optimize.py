@@ -657,3 +657,31 @@ def test_every_chosen_candidate_is_served(sc, n_cores_max, n_cores):
     rates, counts = (np.array(x, dtype=float) for x in zip(*pairs))
     c = cost(scenario_profile(sc, counts), sc.traffic, sc.alpha, rates)
     assert c.code.tolist() == [0] * len(pairs)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(sc=joint_scenarios(), n_cores=st.integers(1, 8))
+@example(sc=Scenario(), n_cores=1)  # clamped
+@example(sc=Scenario(traffic=TrafficParams(1.0, 7e7)), n_cores=2)  # no optimum
+def test_a_fixed_count_rate_against_a_dense_grid(sc, n_cores):
+    # An optimum or clamped count's rate costs no more than any served
+    # point of a dense grid on (load, r_cap]. A count with no optimum
+    # reports r_cap although the cost rises with the rate over the grid.
+    solve = optimize._rate_for_cores(sc, n_cores)
+    assume(solve.kind != "refused")
+    assert best_rate_for_cores(sc, n_cores) == solve.rate_bps
+    load = sc.traffic.offered_load_bps
+    r_cap = max_supportable_rate(sc.compute, n_cores)
+    profile = scenario_profile(sc, n_cores)
+    grid = cost(profile, sc.traffic, sc.alpha,
+                load + (r_cap - load) * np.geomspace(1e-9, 1.0, 2001))
+    z = grid.cost_z[grid.code == 0]
+    assume(z.size)
+    if solve.kind == "no-optimum":
+        assert solve.rate_bps == r_cap
+        assert np.all(np.diff(z) > 0)
+    else:
+        assert solve.kind in ("optimum", "clamped")
+        chosen = cost(profile, sc.traffic, sc.alpha, solve.rate_bps)
+        assert chosen.code == 0
+        assert chosen.cost_z <= z.min() * (1.0 + 1e-12)
