@@ -19,11 +19,12 @@ rate-linear BBU load coefficient kappa nor on alpha.
 
 At alpha > 0 the root is bracketed by doubling and bisected, and each
 sign test evaluates the gap only inside a window around the root. A
-Newton search on ln a - u - ln u, with no Lambert W per step, locates
-the root; two gap evaluations certify the window's ends with a margin
-above the gap's rounding error. Outside the window the computed gap's
-sign is then known, so the bisection takes the same steps with about 6
-gap evaluations instead of 45. Where no window is certified every test
+Newton search on ln a - u - ln u from twice the load, calling no Lambert
+W, locates the root; two gap evaluations certify the window's ends, at
+4e-12 relative either side of it, with a margin above the gap's
+rounding error. Outside the window the computed gap's sign is then
+known, so the bisection takes the same steps with about 6 gap
+evaluations instead of 45. Where no window is certified every test
 evaluates the gap.
 The closed form and the gap read only the coefficients of a
 BusyPowerProfile, so the macro baseline's optimal rate comes from the
@@ -90,9 +91,9 @@ _BISECT_RTOL = 1e-12
 # Enough doublings to walk from the smallest subnormal to the largest float.
 _MAX_BRACKET_DOUBLINGS = 2100
 _MAX_BISECT_ITER = 500
-# Relative half-widths of the certified gap window, tried in turn; the
-# narrowest leaves about four bisection steps inside it.
-_WINDOW_RTOLS = (4e-12, 1e-9, 1e-6)
+# Relative half-width of the certified gap window; it leaves about four
+# bisection steps inside it.
+_WINDOW_RTOL = 4e-12
 # The located root is final once a Newton step is this small relative to it.
 _LOCATE_RTOL = 1e-14
 _LOCATE_MAX_ITER = 100
@@ -327,20 +328,16 @@ def asymptotic_power(sc: Scenario, n_cores: int) -> float:
 
 def _locate_root(c: float, b: float, k: float, load: float) -> float | None:
     """Approximate root of W0(a(r)) = u(r), with a(r) = c (r / (r - load))**2
-    + b and u(r) = k r - 1, found with no Lambert W per step; None when the
-    search fails.
+    + b and u(r) = k r - 1, found with no Lambert W; None when the search
+    fails.
 
     Where a and u are positive the equation is H(r) = ln a - u - ln u = 0,
     and H is decreasing. Newton steps on H stay inside the bracket of
     rates where H changed sign; a step that leaves it is replaced by the
     bracket's midpoint, or by doubling while no upper end is known. The
-    alpha = 0 root, when it is stable, lies below the root and starts it.
+    search starts at twice the load.
     """
     r = 2.0 * load
-    if b >= BRANCH_POINT_ARG:
-        r_e = (lambert_w0(b) + 1.0) / k
-        if r_e > load:
-            r = r_e
     lo, hi = load, math.inf
     try:
         for _ in range(_LOCATE_MAX_ITER):
@@ -378,17 +375,17 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     a positive computed gap and every finite rate >= x_hi a negative one.
     The empty window (load, inf) when none is certified.
 
-    Each end is the located root moved by a relative half-width from
-    _WINDOW_RTOLS, kept only if its computed gap has the right sign with
+    Each end is the located root moved by the relative half-width
+    _WINDOW_RTOL, kept only if its computed gap has the right sign with
     margin M = 1e-12 * (2 + |u| + |b| / a). M bounds the gap's rounding
     error with room to spare while a and u are positive: lambert_w0 is
-    within 1e-14 * (2 + |W|) of scipy's lambertw
+    within 1e-14 * (2 + |W|) of scipy's lambertw up to the largest float
     (tests/test_lambertw.py::test_error_stays_below_the_window_margin),
     u rounds by a few ulps, and a = c g**2 + b by a few ulps of |b| + a,
     which W0 scales by at most 1 / a. The gap is decreasing, so a rate
     beyond a certified end has a computed gap of the same sign. Near the
     branch point (a <= 0) W0 is ill-conditioned, so the window is then
-    empty, as it is when u <= 0 or a exceeds 1e300.
+    empty, as it is when u <= 0 or either end's gap misses its margin.
     """
     load = t.offered_load_bps
     g_eta = profile.gain * profile.pa_efficiency
@@ -399,21 +396,16 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     r_hat = _locate_root(c, b, k, load)
     if r_hat is None or not load < r_hat < math.inf:
         return empty
-    ends = []
-    for side in (-1.0, 1.0):
-        for rtol in _WINDOW_RTOLS:
-            x = r_hat * (1.0 + side * rtol)
-            if not x > load:
-                return empty
-            a, u = c * (x / (x - load)) ** 2 + b, k * x - 1.0
-            if not (0.0 < a <= 1e300 and u > 0.0):
-                return empty
-            if -side * optimality_gap(profile, t, alpha, x) > 1e-12 * (2.0 + u + abs(b) / a):
-                ends.append(x)
-                break
-        else:
+    x_lo, x_hi = r_hat * (1.0 - _WINDOW_RTOL), r_hat * (1.0 + _WINDOW_RTOL)
+    if not x_lo > load:
+        return empty
+    for side, x in ((-1.0, x_lo), (1.0, x_hi)):
+        a, u = c * (x / (x - load)) ** 2 + b, k * x - 1.0
+        if not (a > 0.0 and u > 0.0):
             return empty
-    return ends[0], ends[1]
+        if not -side * optimality_gap(profile, t, alpha, x) > 1e-12 * (2.0 + u + abs(b) / a):
+            return empty
+    return x_lo, x_hi
 
 
 def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:

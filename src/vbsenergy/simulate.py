@@ -31,7 +31,9 @@ last arrival, so it ends on a cycle boundary.
 Statistics use the method of batch means: the post-warmup window is cut
 into equal-duration batches and a Student-t interval is formed from the
 per-batch means. The generator is numpy's PCG64 seeded through
-SeedSequence, so equal seeds reproduce results bit for bit.
+SeedSequence, so equal seeds reproduce results bit for bit within one
+numpy SIMD dispatch: bounded-Pareto sizes end in np.power, whose bits
+depend on the SIMD loops numpy picks for the CPU.
 """
 from __future__ import annotations
 

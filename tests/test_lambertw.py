@@ -1,6 +1,7 @@
 """Principal-branch Lambert W solver."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -62,8 +63,8 @@ def test_matches_scipy():
 def test_error_stays_below_the_window_margin():
     # optimize._gap_window certifies a gap sign with margin
     # 1e-12 * (2 + |u| + ...), which needs lambert_w0 well inside it
-    # wherever a window is allowed, arguments in [0, 1e300], and holds
-    # up to the largest float.
+    # wherever a window is allowed: every positive argument, up to the
+    # largest float.
     rng = np.random.default_rng(11)
     xs = np.concatenate([
         [0.0, 5e-324, 1e-300, 1.0, math.e, 1e300, math.nextafter(1e300, math.inf),
@@ -77,6 +78,30 @@ def test_error_stays_below_the_window_margin():
     for x in xs:
         w = float(scipy.special.lambertw(float(x), 0).real)
         assert abs(lambert_w0(float(x)) - w) <= 1e-14 * (2.0 + abs(w))
+
+
+def test_error_near_the_branch_point_stays_within_its_conditioning():
+    # On (-1/e, 0] W0 is ill-conditioned toward the branch point, where
+    # W'(x) = 1 / (e**W (1 + W)) is unbounded, so the error is measured
+    # against the rounding of x carried through W' plus the rounding of
+    # W itself. scipy's lambertw is up to 4.7e-9 off near -1/e, so the
+    # reference is mpmath at 200 bits.
+    rng = np.random.default_rng(17)
+    xs = np.concatenate([
+        [0.0, -5e-324, -1e-300, -1e-16, -0.25, math.nextafter(BRANCH_POINT_ARG, 0.0)],
+        rng.uniform(BRANCH_POINT_ARG, 0.0, 3000),
+        BRANCH_POINT_ARG + np.geomspace(1e-16, -BRANCH_POINT_ARG, 3000),
+    ])
+    for x in xs.tolist():
+        if not x > BRANCH_POINT_ARG:
+            continue
+        with mpmath.workprec(200):
+            w = mpmath.lambertw(x)
+            assert w.imag == 0, x
+            err = float(abs(mpmath.mpf(lambert_w0(x)) - w.real))
+        wf = float(w.real)
+        slope = 1.0 / (math.exp(wf) * (1.0 + wf))
+        assert err <= 2.0 * (math.ulp(x) * slope + math.ulp(wf)), x
 
 
 def _halley_only(x: float) -> float:

@@ -18,6 +18,7 @@ from vbsenergy.errors import (
     NoEnergyOptimumError,
     UnstableQueueError,
 )
+from vbsenergy.lambertw import lambert_w0
 from vbsenergy.optimize import (
     _BISECT_RTOL,
     _MAX_BISECT_ITER,
@@ -587,17 +588,33 @@ def test_a_failed_locate_leaves_the_reference_solve(monkeypatch, located, sc, n_
     assert _outcome(solve_optimal_rate, sc, n_cores) == _outcome(_reference_solve, sc, n_cores)
 
 
-def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("n_cores", range(1, 9))
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 50.0, 100.0])
+def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch, alpha, n_cores):
+    gaps, ws, locate_ws = [], [], []
+    locate = optimize._locate_root
 
-    def counted(*args):
-        calls.append(args[-1])
+    def counted_gap(*args):
+        gaps.append(args[-1])
         return optimality_gap(*args)
 
-    monkeypatch.setattr(optimize, "optimality_gap", counted)
-    sc = Scenario(alpha=10.0)
-    assert solve_optimal_rate(sc, 2) == _reference_solve(sc, 2)
-    assert len(calls) <= 10  # the reference makes 45
+    def counted_w(x):
+        ws.append(x)
+        return lambert_w0(x)
+
+    def counted_locate(*args):
+        before = len(ws)
+        r = locate(*args)
+        locate_ws.extend(ws[before:])
+        return r
+
+    monkeypatch.setattr(optimize, "optimality_gap", counted_gap)
+    monkeypatch.setattr(optimize, "lambert_w0", counted_w)
+    monkeypatch.setattr(optimize, "_locate_root", counted_locate)
+    sc = Scenario(alpha=alpha)
+    assert solve_optimal_rate(sc, n_cores) == _reference_solve(sc, n_cores)
+    assert len(gaps) <= 10  # the reference makes about 45
+    assert locate_ws == []  # the locate runs on logs, not on Lambert W
 
 
 def _joint_outcome(search, *args):
