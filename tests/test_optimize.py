@@ -555,11 +555,13 @@ def _outcome(solve, sc, n_cores):
 @st.composite
 def penalized_scenarios(draw):
     # Switch energies up to 300 J make the sleep-adjusted power negative
-    # on part of this range, and tiny alphas put the root next to the load.
+    # on part of this range, tiny alphas put the root next to the load,
+    # and arrival rates up to 10 /s put more roots below W / ln2, where
+    # u <= 0 and the window is empty.
     compute = ComputeParams(p_core_min_w=draw(st.floats(0.0, 19.0)),
                             kappa=draw(st.floats(1.0, 100.0)))
     radio = RadioParams(switch_energy_j=draw(st.floats(0.0, 300.0)))
-    traffic = TrafficParams(draw(st.floats(0.05, 3.0)), 10.0 ** draw(st.floats(4.0, 9.0)))
+    traffic = TrafficParams(draw(st.floats(0.05, 10.0)), 10.0 ** draw(st.floats(4.0, 9.0)))
     return Scenario(compute=compute, radio=radio, traffic=traffic,
                     alpha=10.0 ** draw(st.floats(-9.0, 4.0)))
 
