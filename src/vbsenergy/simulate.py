@@ -12,16 +12,27 @@ arriving at time a with size x finishes when C reaches C(a) + x. Events
 are therefore just arrivals and the smallest finish tag in a heap, and
 each event advances the clock in O(log n).
 
-The event loop only moves the queue. It runs in two phases: while the
-system is idle the next event must be an arrival, and a busy period
-runs until a local count of the flows present falls to zero. After every
-event it logs the clock, and one event entry: the flow index of a
-departure, or -1 for an arrival, into typed arrays. Everything else is
-read from that log afterwards. One cumulative sum over the entries gives
-the queue length after every event; each pair of consecutive events is
-a constant-occupancy segment, and the events where the length reaches
-zero end a sleep/wake cycle. The optional trace replays the same log,
-a chunk of lines at a time.
+The event loop only moves the queue. It runs in three phases: while the
+system is idle the next event must be an arrival; a single flow is
+served at the full rate, with its finish tag in a local, until it
+leaves or the next arrival comes first; and only then does a busy
+period with a heap run, until a local count of the flows present falls
+to zero. At low load most flows arrive to an empty station and leave
+alone, so they never touch the heap. The lone flow computes its finish
+time as (tag - C) / r, which has the bits of the heap's
+(tag - C) * n / r at n = 1, and the arrival step that hands it to the
+heap adds (t - now) * r, the bits of (t - now) * r / 1.
+
+After every event the loop logs one event entry into a typed array:
+the flow index of a departure, or -1 for an arrival. It logs the clock
+only at departures. The clock never runs past the next arrival, so an
+arrival's event time is exactly its arrival time, and the clock after
+every event is rebuilt from the arrival times and the departure log.
+Everything else is read from these logs afterwards. One cumulative sum
+over the entries gives the queue length after every event; each pair of
+consecutive events is a constant-occupancy segment, and the events where
+the length reaches zero end a sleep/wake cycle. The optional trace
+replays the same log, a chunk of lines at a time.
 
 Energy bookkeeping: busy intervals cost P_busy(r), idle intervals cost
 P_sleep, and each completed sleep/wake cycle costs 2 * E_switch, charged
@@ -30,7 +41,13 @@ last arrival, so it ends on a cycle boundary.
 
 Statistics use the method of batch means: the post-warmup window is cut
 into equal-duration batches and a Student-t interval is formed from the
-per-batch means. The generator is numpy's PCG64 seeded through
+per-batch means. Segment starts and ends are both sorted, so only a
+slice of the segments, found by binary search, can meet one batch. Each
+batch writes its slice's overlaps into a zeroed buffer as long as all
+segments and sums the whole buffer: every segment outside the slice
+overlaps the batch by exactly +0.0, so np.sum adds the same array in the
+same pairwise order as a clip of every segment against the batch, and
+gives the same bits. The generator is numpy's PCG64 seeded through
 SeedSequence, so equal seeds reproduce results bit for bit within one
 numpy SIMD dispatch: bounded-Pareto sizes end in np.power, whose bits
 depend on the SIMD loops numpy picks for the CPU.
@@ -209,14 +226,35 @@ def _draw_sizes(rng: np.random.Generator, distribution: str, mean_bits: float,
 
 
 def _batch_time_stats(t0, t1, n_act, edges):
-    """Per-batch time-average queue length and busy time from piecewise
-    constant segments, by clipping every segment against every batch."""
+    """Per-batch queue-length area and busy time from piecewise constant
+    segments (start t0, end t1, n_act flows present), t0 and t1 each
+    sorted.
+
+    Only the segments in [searchsorted(t1, lo, "right"),
+    searchsorted(t0, hi)) can meet batch [lo, hi]; every other one
+    overlaps it by exactly +0.0. So the full-length buffer that holds the
+    slice's overlaps, zeroed again after each sum, is entry for entry the
+    array a clip of every segment against the batch would give. The busy
+    time does the same over the segments with flows present.
+    """
+    on = n_act > 0
+    busy_t0, busy_t1 = t0[on], t1[on]
+    del on
     area = np.zeros(len(edges) - 1)
     busy = np.zeros(len(edges) - 1)
+    buf = np.zeros(len(t0))
+    busy_buf = np.zeros(len(busy_t0))
     for k in range(len(edges) - 1):
-        overlap = np.clip(np.minimum(t1, edges[k + 1]) - np.maximum(t0, edges[k]), 0.0, None)
-        area[k] = float(np.sum(overlap * n_act))
-        busy[k] = float(np.sum(overlap[n_act > 0]))
+        lo, hi = edges[k], edges[k + 1]
+        s = slice(np.searchsorted(t1, lo, "right"), np.searchsorted(t0, hi))
+        overlap = np.clip(np.minimum(t1[s], hi) - np.maximum(t0[s], lo), 0.0, None)
+        np.multiply(overlap, n_act[s], out=buf[s])
+        area[k] = float(np.sum(buf))
+        buf[s] = 0.0
+        s = slice(np.searchsorted(busy_t1, lo, "right"), np.searchsorted(busy_t0, hi))
+        busy_buf[s] = np.clip(np.minimum(busy_t1[s], hi) - np.maximum(busy_t0[s], lo), 0.0, None)
+        busy[k] = float(np.sum(busy_buf))
+        busy_buf[s] = 0.0
     return area, busy
 
 
@@ -287,9 +325,9 @@ def simulate(cfg: SimConfig) -> SimStats:
     t_warm = float(arrivals[warm_count]) if warm_count > 0 else 0.0
 
     # The loop only moves the queue. heap holds (finish_tag, flow_index)
-    # and k counts its entries; the log holds the clock from the start
-    # and after every event, and per event the flow index of a departure
-    # or -1 for an arrival.
+    # and k counts its entries; the event log holds per event the flow
+    # index of a departure or -1 for an arrival, and the departure log
+    # the clock after every departure.
     arr = arrivals.tolist()
     arr.append(math.inf)
     size = sizes.tolist()
@@ -298,20 +336,36 @@ def simulate(cfg: SimConfig) -> SimStats:
     push, pop = heapq.heappush, heapq.heappop
     credit = 0.0
     now = 0.0
-    log_t = array("d", [now])
+    log_t = array("d")
     log_ev = array("q")
     put_t, put_ev = log_t.append, log_ev.append
     i = 0
     while i < n_total:
-        # Idle: the heap is empty, so the next event is arrival i.
+        # Idle: the heap is empty, so the next event is arrival i, and
+        # the clock is never past an arrival.
+        now = arr[i]
+        tag = credit + size[i]
+        i += 1
+        put_ev(-1)
+        # One flow, served at the full rate: its tag stays off the heap
+        # unless the next arrival comes before it is done. A size is
+        # never negative, so t_done is never before now.
+        t_done = now + (tag - credit) / rate
         t_new = arr[i]
+        if not t_new < t_done:
+            now = t_done
+            credit = tag
+            put_ev(i - 1)
+            put_t(now)
+            continue
         if t_new > now:
+            credit += (t_new - now) * rate
             now = t_new
+        push(heap, (tag, i - 1))
         push(heap, (credit + size[i], i))
         i += 1
-        put_t(now)
         put_ev(-1)
-        k = 1
+        k = 2
         while k:  # busy until the queue empties
             t_done = now + (heap[0][0] - credit) * k / rate
             t_new = arr[i]
@@ -325,22 +379,26 @@ def simulate(cfg: SimConfig) -> SimStats:
                 put_ev(-1)
             else:
                 if t_done > now:
-                    credit += (t_done - now) * rate / k
                     now = t_done
                 credit, idx = pop(heap)  # exact snap kills drift
                 k -= 1
                 put_ev(idx)
-            put_t(now)
-    del arr, size, put_t, put_ev  # free the per-flow lists before the batch statistics
+                put_t(now)
+    del arr, size  # free the per-flow lists before the batch statistics
 
-    # Queue lengths from the start and after every event: +1 per
-    # arrival, -1 per departure.
+    # Queue lengths and the clock from the start and after every event:
+    # +1 and the arrival's own time per arrival, -1 and the logged clock
+    # per departure.
     ev = np.frombuffer(log_ev, dtype=np.int64)
-    n = np.zeros(len(log_t), dtype=np.int64)
-    np.cumsum(np.where(ev < 0, 1, -1), out=n[1:])
-    flow = ev[ev >= 0]
-    del ev, log_ev  # the departures' flow indices are all the stats need
-    t = np.frombuffer(log_t)
+    arriving = ev < 0
+    n = np.zeros(len(ev) + 1, dtype=np.int64)
+    np.cumsum(np.where(arriving, 1, -1), out=n[1:])
+    t = np.zeros(len(ev) + 1)
+    t[1:][arriving] = arrivals
+    t[1:][~arriving] = np.frombuffer(log_t)
+    del log_t, put_t
+    flow = ev[~arriving]
+    del ev, arriving, log_ev, put_ev  # the departures' flow indices are all the stats need
     if trace:
         with trace:
             _write_trace(trace, t, n, p_busy, p_sleep, e_sw)
@@ -354,7 +412,9 @@ def simulate(cfg: SimConfig) -> SimStats:
     # exceeds that start.
     t0 = np.maximum(t_prev, t_warm)
     keep = t_ev > t0
-    area_b, busy_b = _batch_time_stats(t0[keep], t_ev[keep], n_prev[keep].astype(float), edges)
+    seg_t0, seg_t1, seg_n = t0[keep], t_ev[keep], n_prev[keep].astype(float)
+    del t0, keep
+    area_b, busy_b = _batch_time_stats(seg_t0, seg_t1, seg_n, edges)
 
     # Departures are the events where n falls, and cycles end where it
     # reaches 0; both count only after the warm-up.

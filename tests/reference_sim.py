@@ -1,8 +1,10 @@
-"""The event loop and trace writer as they were before the loop ran in
-two phases over one event log: a len(heap) per event, one array append
-each for the clock, the queue length and a departure's flow index, and
-one f-string and one write per trace line. Kept verbatim as the
-reference for vbsenergy.simulate.simulate and _write_trace."""
+"""The event loop, trace writer and batch statistics as they were before
+the loop ran in phases over one event log and the batch sums worked on
+slices: a len(heap) per event, one array append each for the clock, the
+queue length and a departure's flow index, one f-string and one write
+per trace line, and every segment clipped against every batch. Kept
+verbatim as the reference for vbsenergy.simulate.simulate, _write_trace
+and _batch_time_stats."""
 import heapq
 import math
 from array import array
@@ -15,10 +17,21 @@ from vbsenergy.simulate import (
     SimConfig,
     SimStats,
     _batch_mean_by_time,
-    _batch_time_stats,
     _draw_sizes,
     halfwidth,
 )
+
+
+def _batch_time_stats(t0, t1, n_act, edges):
+    """Per-batch time-average queue length and busy time from piecewise
+    constant segments, by clipping every segment against every batch."""
+    area = np.zeros(len(edges) - 1)
+    busy = np.zeros(len(edges) - 1)
+    for k in range(len(edges) - 1):
+        overlap = np.clip(np.minimum(t1, edges[k + 1]) - np.maximum(t0, edges[k]), 0.0, None)
+        area[k] = float(np.sum(overlap * n_act))
+        busy[k] = float(np.sum(overlap[n_act > 0]))
+    return area, busy
 
 
 def _write_trace(fh, log_t, log_n, p_busy: float, p_sleep: float, e_sw: float) -> None:

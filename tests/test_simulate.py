@@ -130,6 +130,11 @@ def test_trace_matches_the_recorded_bytes(tmp_path):
 # Sixteen cores keep every rate down to rho = 0.05 within the core
 # capacity, so the busy power still depends on the rate.
 WIDE = vbs_profile(ComputeParams(n_cores=16), RadioParams(), GAIN)
+# A constant-power profile keeps the link model out of the picture: no
+# rate term, and an unbounded band needs no transmit power.
+FLAT = BusyPowerProfile(base_w=30.0, rate_coeff=0.0, speed_factor=1.0, rf_w=0.0,
+                        pa_efficiency=1.0, gain=1.0, bandwidth_hz=math.inf,
+                        sleep_power_w=6.45, switch_energy_j=5.0)
 
 
 def _run_both(cfg, tmp):
@@ -183,6 +188,90 @@ def test_an_arrival_at_a_departure_instant_comes_after_it(tmp_path, monkeypatch)
     lines = [line.split("\t") for line in new[1].decode().splitlines()[1:4]]
     assert [line[1:3] for line in lines] == [["arrive", "1"], ["depart", "0"], ["arrive", "1"]]
     assert lines[1][0] == lines[2][0]
+
+
+def _sizes_with(where, value):
+    """A _draw_sizes that draws exponential sizes and then sets the
+    entries at where (an index or a slice) to value."""
+    def draw(rng, distribution, mean_bits, n):
+        sizes = rng.exponential(mean_bits, size=n)
+        sizes[where] = value
+        return sizes
+    return draw
+
+
+def _lines(trace):
+    return [line.split("\t") for line in trace.decode().splitlines()[1:]]
+
+
+# At 1 bit/s and one arrival per second, a flow of 0.5 bit is served for
+# half a second if it is alone, so both the lone-flow phase and busy
+# periods occur.
+LONE = make_config(traffic=TrafficParams(arrival_rate=1.0, file_size_bits=0.5),
+                   profile=WIDE, rate_bps=1.0, n_arrivals=1000, seed=3)
+
+
+def test_zero_size_flows_equal_the_reference_bits(tmp_path, monkeypatch):
+    # A zero-size flow that arrives alone is done at its arrival instant
+    # (t_done == now) and leaves before anything else happens; every
+    # third flow has size 0, in lone-flow and busy phases alike.
+    for module in (simulate_module, reference_sim):
+        monkeypatch.setattr(module, "_draw_sizes", _sizes_with(slice(None, None, 3), 0.0))
+    new, ref = _run_both(LONE, str(tmp_path))
+    assert new == ref
+    first, second = _lines(new[1])[:2]
+    assert [first[1:3], second[1:3]] == [["arrive", "1"], ["depart", "0"]]
+    assert first[0] == second[0]
+
+
+def test_an_arrival_hands_a_lone_flow_to_the_heap(tmp_path, monkeypatch):
+    # The first flow needs 1000 s alone, so the second arrival finds it
+    # still in service and it is served on from the heap.
+    for module in (simulate_module, reference_sim):
+        monkeypatch.setattr(module, "_draw_sizes", _sizes_with(0, 1e3))
+    new, ref = _run_both(LONE, str(tmp_path))
+    assert new == ref
+    assert [line[1:3] for line in _lines(new[1])[:2]] == [["arrive", "1"], ["arrive", "2"]]
+
+
+def test_isolated_flows_equal_the_reference_bits(tmp_path):
+    # The configuration of test_isolated_flows_have_exact_delay: every
+    # flow is alone, so the heap is never used.
+    cfg = make_config(rate_bps=1e13, profile=FLAT, size_distribution="deterministic",
+                      n_arrivals=1000, warmup_fraction=0.0, seed=7)
+    new, ref = _run_both(cfg, str(tmp_path))
+    assert new == ref
+    lines = _lines(new[1])
+    assert {tuple(line[1:3]) for line in lines[0::2]} == {("arrive", "1")}
+    assert {tuple(line[1:3]) for line in lines[1::2]} == {("depart", "0")}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), size=hs.integers(0, 400),
+       zeros=hs.sampled_from([0.0, 0.3]), idle=hs.sampled_from([0.0, 0.3, 1.0]),
+       warm=hs.sampled_from([0.0, 0.1, 0.37, 0.5]), cut=hs.booleans(),
+       n_batches=hs.sampled_from([1, 3, N_BATCHES]), span=hs.sampled_from([1.0, 1.5]))
+def test_batch_time_stats_equal_the_reference_bits(seed, size, zeros, idle, warm, cut,
+                                                   n_batches, span):
+    # Segments of a clock cut at a warm-up time as simulate cuts them,
+    # dropping those that end at or before their start when cut is set.
+    # Zero gaps give zero-length segments, few segments long ones across
+    # batch edges, a count of 0 an idle run, and edges past the last
+    # segment (span 1.5) batches that no segment meets.
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.random(size) < zeros, 0.0, rng.exponential(size=size))
+    n_act = np.where(rng.random(size) < idle, 0.0, rng.integers(1, 5, size).astype(float))
+    t = np.concatenate(([0.0], np.cumsum(gaps)))
+    t_warm = warm * t[-1]
+    t0, t1 = np.maximum(t[:-1], t_warm), t[1:]
+    if cut:
+        keep = t1 > t0
+        t0, t1, n_act = t0[keep], t1[keep], n_act[keep]
+    edges = np.linspace(t_warm, t_warm + span * (t[-1] - t_warm), n_batches + 1)
+    new = simulate_module._batch_time_stats(t0, t1, n_act, edges)
+    ref = reference_sim._batch_time_stats(t0, t1, n_act, edges)
+    for a, b in zip(new, ref):
+        assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
 
 
 # 1000 arrivals make 2000 events: a multiple of 1000 and of 2000, one
@@ -268,16 +357,11 @@ def test_matches_analytic_model():
 def test_isolated_flows_have_exact_delay():
     # At a rate so high that flows essentially never overlap, every
     # deterministic flow takes exactly size/rate and every busy period
-    # is one flow, so cycles equal completions. A constant-power profile
-    # keeps the link model out of the picture: no rate term, and an
-    # unbounded band needs no transmit power.
+    # is one flow, so cycles equal completions.
     rate = 1e13
-    flat = BusyPowerProfile(base_w=30.0, rate_coeff=0.0, speed_factor=1.0, rf_w=0.0,
-                            pa_efficiency=1.0, gain=1.0, bandwidth_hz=math.inf,
-                            sleep_power_w=6.45, switch_energy_j=5.0)
     cfg = make_config(
         rate_bps=rate,
-        profile=flat,
+        profile=FLAT,
         size_distribution="deterministic",
         n_arrivals=1000,
         warmup_fraction=0.0,
