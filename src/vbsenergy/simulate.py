@@ -34,6 +34,17 @@ consecutive events is a constant-occupancy segment, and the events where
 the length reaches zero end a sleep/wake cycle. The optional trace
 replays the same log, a chunk of lines at a time.
 
+The trace prints each time with 9 decimals and each energy with 6, in
+the bytes of "%.9f" and "%.6f", which round the exact binary value to
+nearest with ties to even. A chunk is built in numpy as one byte matrix
+with digits computed exactly: the fraction x - floor(x) is exact, its
+product with 10**places is correctly rounded, and where that product
+lies halfway between two integers, the sign of its rounding error,
+exact by Veltkamp's split and Dekker's Fast2Sum, breaks the tie. That
+holds for every time and energy below 2**63 with the sign bit clear; a
+chunk with any other value (negative, -0.0, not finite or at least
+2**63) is written with the "%" template instead.
+
 Energy bookkeeping: busy intervals cost P_busy(r), idle intervals cost
 P_sleep, and each completed sleep/wake cycle costs 2 * E_switch, charged
 at the instant the system empties. The run drains the queue after the
@@ -54,6 +65,7 @@ depend on the SIMD loops numpy picks for the CPU.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from array import array
@@ -274,6 +286,113 @@ def _batch_mean_by_time(times, values, edges):
 _TRACE_CHUNK = 2048
 _TRACE_LINE = "%.9f\t%s\t%d\t%.6f\n"
 _EVENT_NAMES = np.array(["depart", "arrive"], dtype=object)  # 1 where n grew
+_PLACES = np.array([[9], [6]])  # fraction digits of the time and the energy
+_SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for a 53-bit significand
+_BLANK = np.int64(10000)  # from a digit group to its blank row
+_NAME_WORDS = np.array([[20001, 20003], [20002, 20004]])  # column 1 where n grew
+_SEP_WORDS = 20005
+
+
+@functools.cache
+def _words():
+    """The four-byte words a chunk's lines are gathered from, ASCII with
+    NUL for a byte the line does not print: each digit group "0000" to
+    "9999" at the index of its value; each again _BLANK rows on with its
+    leading zeros blank ("0" keeps one); a blank word; an event name
+    with its tabs in two words, at _NAME_WORDS; and from _SEP_WORDS on,
+    per digit d, a word ".d\t\n" that holds the separators and the
+    time's first decimal. Built on first use, so an import pays nothing
+    for it."""
+    digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                      axis=-1).reshape(-1, 4)
+    blank = digits * (np.arange(10000)[:, None] >= [1000, 100, 10, 0])
+    rest = b"\0\0\0\0\tdepart\t\tarrive\t" + b"".join(b".%d\t\n" % d for d in range(10))
+    table = np.concatenate((digits, blank, np.frombuffer(rest, dtype=np.uint8).reshape(-1, 4)))
+    return table.view(np.uint32).ravel()
+
+
+def _fixed_point(x, places):
+    """Integer part and the places fraction digits, as int64 arrays, of
+    "%.*f" % (places, x) for each x: the exact binary value rounded to
+    places decimals, ties to even. Every x must be finite, below 2**63
+    and have its sign bit clear; places (broadcast against x) must be 6
+    or 9.
+
+    The fraction f = x - floor(x) is exact, and p = f * 10**places is
+    the correctly rounded product. So p rounds to the same integer as
+    the exact product, except where p lies halfway between two integers:
+    there the sign of the product's rounding error e decides, and only
+    e == 0 is a true tie. 10**places has at most 21 significant bits and
+    each half of f's Veltkamp split at most 27, so a and b, the halves
+    times 10**places, are exact; a + b rounds to p, and since |a| >= |b|,
+    Dekker's Fast2Sum gives e = b - (p - a) exactly. A fraction that
+    rounds to 10**places carries into the integer part.
+    """
+    whole = np.floor(x)
+    f = x - whole
+    scale = 10.0 ** places
+    p = f * scale
+    q = np.rint(p)
+    tie = np.abs(p - q) == 0.5
+    if tie.any():
+        c = f * _SPLIT
+        hi = c - (c - f)
+        a, b = hi * scale, (f - hi) * scale
+        e = b - (p - a)
+        q = np.where(tie & (e != 0.0), p + np.copysign(0.5, e), q)
+    carry = q == scale
+    return (whole + carry).astype(np.int64), (q - scale * carry).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _line_columns(size: int, wt: int, wn: int, we: int):
+    """The byte columns of a line in its row of gathered words, given
+    size digit groups per number and the widths of the time's integer
+    part, the queue length and the energy's integer part."""
+    def digits(k, w):  # the last w digits of number k
+        return [4 * (5 * (j // 4) + k) + j % 4 for j in range(4 * size - w, 4 * size)]
+
+    sep = 20 * size + 8
+    return np.array(digits(0, wt) + [sep, sep + 1] + digits(3, 8) + list(range(sep - 8, sep))
+                    + digits(2, wn) + [sep + 2] + digits(1, we) + [sep] + digits(4, 6) + [sep + 3])
+
+
+def _trace_lines(values, grew, n_ev) -> str:
+    """The trace lines of one chunk, in the "%" template's bytes: values
+    holds the lines' times and energies as two rows, within
+    _fixed_point's domain, and n_ev their queue lengths, not negative.
+
+    Each line's integer parts, queue length and fraction digits (the
+    time's first decimal aside) are cut into four-digit groups, and the
+    groups, the event name and the separators are gathered from _words()
+    into one row of words per line. An integer's top group comes from
+    the blank rows and any group above it is the blank word. A column
+    gather lays each row out as its line, every integer as wide as the
+    chunk's widest, and the blanks are dropped.
+    """
+    whole, frac = _fixed_point(values, _PLACES)
+    head = frac[0] // 10 ** 8  # the time's first decimal
+    frac[0] -= head * 10 ** 8
+    nums = np.concatenate((whole, n_ev[None], frac))  # time, energy, n, fractions
+    wt, we, wn = (len(str(v)) for v in nums[:3].max(axis=1).tolist())
+    size = -(-max(wt, wn, we, 8) // 4)
+    table = _words()
+    words = np.empty((5 * size + 3, len(n_ev)), dtype=np.uint32)
+    above = 0  # 1 where an integer's group is above its top digit
+    for j in range(size - 1, -1, -1):
+        nxt = nums // 10000
+        group = nums - nxt * 10000
+        top = (nxt[:3] == 0).view(np.int8)
+        group[:3] += (top + above) * _BLANK
+        # Every index is in range; mode "clip" skips the checked copy.
+        np.take(table, group, out=words[5 * j:5 * j + 5], mode="clip")
+        above = top
+        nums = nxt
+    np.take(table, np.take(_NAME_WORDS, grew.view(np.int8), axis=1), out=words[-3:-1],
+            mode="clip")
+    np.take(table, head + _SEP_WORDS, out=words[-1], mode="clip")
+    lines = words.T.copy().view(np.uint8)[:, _line_columns(size, wt, wn, we)]
+    return lines.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
@@ -286,6 +405,12 @@ def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
     segment's dt * power (0.0 when dt <= 0), then 2 * E_switch where the
     queue empties (else 0.0). np.add.accumulate adds left to right, so
     every partial sum has the bits of a Python += chain.
+
+    A chunk whose times and energies are all below 2**63 with the sign
+    bit clear is built in numpy by _trace_lines, with exact digits. Any
+    other chunk (a value that is negative, -0.0, not finite or at least
+    2**63) is written through the "%" template, which gives the same
+    bytes for the values both can write.
     """
     fh.write("time_s\tevent\tqueue_len\tenergy_j\n")
     energy = 0.0
@@ -299,9 +424,14 @@ def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
         inc[2::2] = np.where(n_ev == 0, 2.0 * e_sw, 0.0)
         np.add.accumulate(inc, out=inc)  # now the energy after each step
         energy = float(inc[-1])
+        grew = n_ev > n_prev
+        values = np.stack((now, inc[1::2]))
+        if np.all((values < 2.0 ** 63) & ~np.signbit(values)):
+            fh.write(_trace_lines(values, grew, n_ev))
+            continue
         fields = [None] * (4 * (b - a))
         fields[0::4] = now.tolist()
-        fields[1::4] = _EVENT_NAMES[(n_ev > n_prev).view(np.int8)].tolist()
+        fields[1::4] = _EVENT_NAMES[grew.view(np.int8)].tolist()
         fields[2::4] = n_ev.tolist()
         fields[3::4] = inc[1::2].tolist()
         fh.write(_TRACE_LINE * (b - a) % tuple(fields))
@@ -309,12 +439,21 @@ def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
 
 def simulate(cfg: SimConfig) -> SimStats:
     """Run one simulation and return batch-means statistics."""
+    p_busy = float(cfg.profile.busy_power(cfg.rate_bps))  # a refused rate opens no trace
+    if not cfg.trace_path:
+        return _run(cfg, p_busy, None)
+    # Open first, so that a bad path fails before any simulation work;
+    # the with block closes the file however the run ends.
+    with open(cfg.trace_path, "w") as trace:
+        return _run(cfg, p_busy, trace)
+
+
+def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:
+    """The simulation behind simulate; the trace goes to the open file
+    trace unless it is None."""
     rate = cfg.rate_bps
-    p_busy = float(cfg.profile.busy_power(rate))
     p_sleep = cfg.profile.sleep_power_w
     e_sw = cfg.profile.switch_energy_j
-    # Open first, so that a bad path fails before any simulation work.
-    trace = open(cfg.trace_path, "w") if cfg.trace_path else None
 
     t_cfg = cfg.traffic
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
@@ -400,8 +539,7 @@ def simulate(cfg: SimConfig) -> SimStats:
     flow = ev[~arriving]
     del ev, arriving, log_ev, put_ev  # the departures' flow indices are all the stats need
     if trace:
-        with trace:
-            _write_trace(trace, t, n, p_busy, p_sleep, e_sw)
+        _write_trace(trace, t, n, p_busy, p_sleep, e_sw)
 
     t_prev, t_ev, n_prev, n_ev = t[:-1], t[1:], n[:-1], n[1:]
     window = now - t_warm

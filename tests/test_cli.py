@@ -493,6 +493,26 @@ def test_simulate_loads_no_scipy_module_and_runs_without_scipy():
     assert outputs[1] == outputs[0]
 
 
+def test_simulation_that_fails_after_opening_its_trace_closes_it(capsys, tmp_path, monkeypatch):
+    # The arrival draw for this many flows fails only after the trace
+    # file is open; the run exits 2 and must still close the file.
+    import vbsenergy.simulate
+
+    opened = []
+
+    def keep(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(vbsenergy.simulate, "open", keep, raising=False)
+    code, out, _ = run_cli(capsys, "simulate", "--rate", "50Mbps", "--cores", "2",
+                           "--arrivals", "9000000000000000", "--trace", str(tmp_path / "t.tsv"))
+    assert (code, out) == (2, "")
+    (fh,) = opened
+    assert fh.closed
+
+
 def test_refused_command_leaves_the_output_file_empty(capsys, tmp_path):
     out_path = tmp_path / "result.csv"
     code, out, _ = run_cli(capsys, "power", "--rate", "10 Mbps", "--output", str(out_path))

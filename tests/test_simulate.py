@@ -1,11 +1,13 @@
 """Event simulator: determinism, bookkeeping, and analytic agreement."""
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import tempfile
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from vbsenergy.simulate import (
     SIZE_DISTRIBUTIONS,
     SimConfig,
     _draw_sizes,
+    _fixed_point,
     _write_trace,
     halfwidth,
     simulate,
@@ -283,6 +286,96 @@ def test_trace_chunks_write_the_reference_bytes(tmp_path, monkeypatch, chunk):
     cfg = make_config(n_arrivals=1000, seed=21)
     new, ref = _run_both(cfg, str(tmp_path))
     assert new == ref
+
+
+def _fixed_strings(xs, places):
+    whole, frac = _fixed_point(np.array(xs, dtype=float), places)
+    return [f"{w}.{f:0{places}d}" for w, f in zip(whole.tolist(), frac.tolist())]
+
+
+BELOW_2_63 = math.nextafter(2.0 ** 63, 0.0)
+# Values where a digit helper goes wrong first: zero and subnormals; exact
+# ties at 9 places (m / 2**10, m odd) and at 6 (m / 2**7); the doubles
+# nearest the decimal ties i + (k + 0.5) / 10**places, which are rarely
+# ties themselves but often round to one when scaled; the double below
+# each integer, whose fraction rounds up into the integer part; 2**52 and
+# 2**53 and their neighbours; and the largest double below 2**63.
+PLANTED = (
+    [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308]
+    + [m / 2 ** 10 for m in range(1, 4096, 2)] + [m / 2 ** 7 for m in range(1, 1024, 2)]
+    + [(2 ** 40 + m) / 2 ** 10 for m in range(1, 200, 2)]
+    + [i + (k + 0.5) / 10 ** p for p in (6, 9) for i in (0, 1, 37, 2 ** 20)
+       for k in range(0, 10 ** p, 10 ** p // 997)]
+    + [math.nextafter(k + 1.0, 0.0) for k in (0, 1, 9, 99, 10 ** 6 - 1, 2 ** 20, 2 ** 40)]
+    + [x for e in (52, 53) for x in (math.nextafter(2.0 ** e, 0.0), 2.0 ** e,
+                                     math.nextafter(2.0 ** e, math.inf))]
+    + [BELOW_2_63]
+)
+
+
+@pytest.mark.parametrize("places", [6, 9])
+def test_fixed_point_digits_of_planted_values_equal_percent_formatting(places):
+    assert _fixed_strings(PLANTED, places) == ["%.*f" % (places, x) for x in PLANTED]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(us=hs.lists(hs.floats(-1074.0, 63.0, exclude_max=True), min_size=1, max_size=50),
+       places=hs.sampled_from([6, 9]))
+def test_fixed_point_digits_equal_percent_formatting(us, places):
+    # Each x log-uniform on [5e-324, 2**63).
+    xs = [min(2.0 ** u, BELOW_2_63) for u in us]
+    assert _fixed_strings(xs, places) == ["%.*f" % (places, x) for x in xs]
+
+
+def _reference_trace(t, n, powers):
+    out = io.StringIO()
+    reference_sim._write_trace(out, t.tolist(), n.tolist(), *powers)
+    return out.getvalue()
+
+
+def _package_trace(t, n, powers, chunk):
+    out = io.StringIO()
+    with mock.patch.object(simulate_module, "_TRACE_CHUNK", chunk):
+        _write_trace(out, t, n, *powers)
+    return out.getvalue()
+
+
+LOG_VALUES = hs.one_of(
+    hs.floats(-12.0, 19.0).map(lambda u: 10.0 ** u),
+    hs.integers(0, 2 ** 40).map(lambda m: m / 2 ** 10),
+    hs.integers(0, 2 ** 40).map(lambda k: math.nextafter(k + 1.0, 0.0)),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(events=hs.lists(hs.tuples(LOG_VALUES, hs.integers(0, 2 ** 40)), min_size=1, max_size=40),
+       powers=hs.tuples(*[hs.floats(0.0, 1e3)] * 3), chunk=hs.integers(1, 9))
+def test_trace_writer_equals_the_reference_on_random_logs(events, powers, chunk):
+    # Times from 1e-12 to 1e19, dyadic ties and the doubles below
+    # integers, in any order; times and energies past 2**63 put their
+    # chunk on the "%" path.
+    t = np.array([0.0] + [x for x, _ in events])
+    n = np.array([0] + [k for _, k in events])
+    assert _package_trace(t, n, powers, chunk) == _reference_trace(t, n, powers)
+
+
+def test_trace_writer_takes_the_percent_path_only_outside_the_digit_domain(monkeypatch):
+    # Chunks of three lines: the second holds a time of -0.0, the fourth
+    # nan and the sixth one past 2**63; the others are built in numpy.
+    t = np.array([0.0, 0.5, 1.25, 2.0, 3.0, -0.0, 3.5, 4.0, 4.5, 5.0, math.nan, 5.5, 6.0,
+                  6.5, 7.0, 7.5, 8.0, 1e19, 9.0])
+    n = np.array([0, 1, 2, 1, 0, 1, 0, 1, 2, 1, 0, 1, 0, 1, 2, 1, 0, 1, 0])
+    built = []  # the first time of each chunk built in numpy
+    lines = simulate_module._trace_lines
+
+    def spy(values, *args):
+        built.append(values[0, 0])
+        return lines(values, *args)
+
+    monkeypatch.setattr(simulate_module, "_trace_lines", spy)
+    powers = (30.0, 6.45, 5.0)
+    assert _package_trace(t, n, powers, 3) == _reference_trace(t, n, powers)
+    assert built == [0.5, 4.0, 6.5]
 
 
 def test_trace_writer_memory_does_not_grow_with_the_run(monkeypatch):
