@@ -124,8 +124,8 @@ class SimConfig:
 
     rate_bps must exceed the offered load. n_arrivals counts every
     generated flow; the first warmup_fraction of them only warm the
-    system and are excluded from statistics. trace_path, when set, gets
-    a tab-separated record per event.
+    system and are excluded from statistics. trace_path, when not None,
+    gets a tab-separated record per event.
     """
 
     traffic: TrafficParams
@@ -344,7 +344,6 @@ def _fixed_point(x, places):
     return (whole + carry).astype(np.int64), (q - scale * carry).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=64)
 def _line_columns(size: int, wt: int, wn: int, we: int):
     """The byte columns of a line in its row of gathered words, given
     size digit groups per number and the widths of the time's integer
@@ -439,13 +438,16 @@ def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
 
 def simulate(cfg: SimConfig) -> SimStats:
     """Run one simulation and return batch-means statistics."""
-    p_busy = float(cfg.profile.busy_power(cfg.rate_bps))  # a refused rate opens no trace
-    if not cfg.trace_path:
-        return _run(cfg, p_busy, None)
-    # Open first, so that a bad path fails before any simulation work;
-    # the with block closes the file however the run ends.
-    with open(cfg.trace_path, "w") as trace:
+    p_busy = cfg.profile.busy_power(cfg.rate_bps)  # a refused rate opens no trace
+    # Open first, so that a bad path fails before any simulation work; LF
+    # line ends on every platform. try, not with: a with block keeps a bound
+    # __exit__ (64 bytes) alive at an untraced run's memory peak.
+    trace = None if cfg.trace_path is None else open(cfg.trace_path, "w", newline="")
+    try:
         return _run(cfg, p_busy, trace)
+    finally:
+        if trace is not None:
+            trace.close()
 
 
 def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:

@@ -408,6 +408,7 @@ REFUSED = [
       "--output", "/nonexistent/x.csv"), 2),
     (("simulate", "--rate", "50 Mbps", "--cores", "2", "--arrivals", "1000",
       "--trace", "/nonexistent/t.tsv"), 2),
+    (("simulate", "--rate", "50Mbps", "--cores", "2", "--arrivals", "2000", "--trace", ""), 2),
     (("power", "--rate", "10 Mbps"), 3),
     # The joint walk's first candidate is over the link cap.
     (("optimize", "--file-size", "162.5 MB", "--cores-max", "30"), 3),
@@ -511,6 +512,26 @@ def test_simulation_that_fails_after_opening_its_trace_closes_it(capsys, tmp_pat
     assert (code, out) == (2, "")
     (fh,) = opened
     assert fh.closed
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["same-name", "symlink"])
+def test_output_and_trace_on_one_file_are_refused_before_simulating(capsys, tmp_path,
+                                                                    monkeypatch, linked):
+    import vbsenergy.simulate
+
+    def no_run(*args):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(vbsenergy.simulate, "_run", no_run)
+    path = tmp_path / "run.csv"
+    trace = tmp_path / "link.tsv" if linked else path
+    if linked:
+        trace.symlink_to(path)
+    code, out, err = run_cli(capsys, "simulate", "--rate", "50Mbps", "--cores", "2",
+                             "--arrivals", "2000", "--output", str(path), "--trace", str(trace))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_bytes() == b""
 
 
 def test_refused_command_leaves_the_output_file_empty(capsys, tmp_path):

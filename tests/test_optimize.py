@@ -1,7 +1,9 @@
 """Rate and core-count optimization."""
+import functools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -704,3 +706,76 @@ def test_a_fixed_count_rate_against_a_dense_grid(sc, n_cores):
         chosen = cost(profile, sc.traffic, sc.alpha, solve.rate_bps)
         assert chosen.code == 0
         assert chosen.cost_z <= z.min() * (1.0 + 1e-12)
+
+
+def _oracle_rate(profile, t: TrafficParams, alpha: float):
+    """The root in r > lambda L of W0(a(r)) - (r ln2 / W - 1), the gap
+    the optimize docstring states, bisected at 60 digits with mpmath from
+    the profile's and traffic's float fields; None where that region
+    holds no root. No code of the package's solver runs here."""
+    with mpmath.workdps(60):
+        f = mpmath.mpf
+        lam = f(t.arrival_rate)
+        load = lam * f(t.file_size_bits)
+        g_eta = f(profile.gain) * f(profile.pa_efficiency)
+        p_s = (f(profile.base_w) + f(profile.rf_w) - f(profile.sleep_power_w)
+               - 2 * lam * f(profile.switch_energy_j))
+        c, b = f(alpha) * g_eta / mpmath.e, (g_eta * p_s - 1) / mpmath.e
+        k = mpmath.ln(2) / f(profile.bandwidth_hz)
+        w0 = functools.cache(lambda a: mpmath.lambertw(a).real)  # a is b at alpha = 0
+
+        def gap(r):
+            a = c * (r / (r - load)) ** 2 + b if alpha else b
+            if a < -1 / mpmath.e:
+                return -mpmath.inf  # u e**u > a for every u: the cost rises
+            return w0(a) - (k * r - 1)
+
+        # Near the load the gap is +inf at alpha > 0; at alpha = 0 it is
+        # constant in a, so a root above the load needs a positive gap there.
+        if not alpha and not gap(load) > 0:
+            return None
+        lo, hi = load, 2 * load
+        while gap(hi) > 0:
+            lo, hi = hi, 2 * hi
+        while hi - lo > f("1e-30") * hi:
+            mid = (lo + hi) / 2
+            if gap(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+# The ranges of the oracle comparison in ROADMAP: the default radio and
+# link, arrival rates 0.1 to 3.2 /s, sizes 1e6 to 3e7 bits, 1 to 8 cores.
+ORACLE_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+oracle_traffic = st.builds(TrafficParams, st.floats(0.1, 3.2),
+                           st.floats(6.0, math.log10(3e7)).map(lambda e: 10.0 ** e))
+
+
+@ORACLE_SETTINGS
+@given(t=oracle_traffic, alpha=st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e),
+       n_cores=st.integers(1, 8))
+def test_a_penalized_solve_lies_within_its_bisection_width_of_the_oracle(t, alpha, n_cores):
+    sc = Scenario(traffic=t, alpha=alpha)
+    r_star = _oracle_rate(scenario_profile(sc, n_cores), t, alpha)
+    assert abs(solve_optimal_rate(sc, n_cores) - r_star) <= 1e-12 * r_star
+
+
+@ORACLE_SETTINGS
+@given(t=oracle_traffic, n_cores=st.integers(1, 8))
+def test_the_closed_forms_agree_with_the_oracle(t, n_cores):
+    # Where a closed form refuses, the oracle finds no root above the
+    # load, or one within 1e-9 of it, where a rounding can decide.
+    sc = Scenario(traffic=t)
+    cbs = (EarthParams(), sc.link.channel_gain, sc.link.bandwidth_hz, sc.radio.switch_energy_j)
+    solves = ((lambda: energy_optimal_rate(sc, n_cores), scenario_profile(sc, n_cores)),
+              (lambda: earth_energy_optimal_rate(*cbs, t), earth_profile(*cbs)))
+    for solve, profile in solves:
+        r_star = _oracle_rate(profile, t, 0.0)
+        try:
+            r = solve()
+        except NoEnergyOptimumError:
+            assert r_star is None or r_star <= t.offered_load_bps * (1.0 + 1e-9)
+        else:
+            assert r_star is not None and abs(r - r_star) <= 1e-13 * r_star

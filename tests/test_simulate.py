@@ -421,6 +421,19 @@ def test_unopenable_trace_path_fails_before_simulating(tmp_path, monkeypatch):
         simulate(make_config(trace_path=str(tmp_path / "missing" / "t.tsv")))
 
 
+def test_the_trace_is_opened_for_lf_line_ends(tmp_path, monkeypatch):
+    # With newline="" each "\n" is written as it is, on every platform.
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(kwargs)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "open", spy, raising=False)
+    simulate(make_config(n_arrivals=1000, trace_path=str(tmp_path / "t.tsv")))
+    assert [kw.get("newline") for kw in opened] == [""]
+
+
 # Levels inside (0, 1) that have no quantile table are refused the same way.
 @pytest.mark.parametrize("confidence", [0.0, 1.0, -1.0, 1.5, math.nan, 0.5, 0.9, 0.999])
 def test_validation_refuses_a_confidence_outside_the_unit_interval(monkeypatch, confidence):
