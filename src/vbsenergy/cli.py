@@ -32,7 +32,6 @@ import functools
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .optimize import (  # noqa: F401
     tradeoff_curve,
 )
 from .power import earth_profile
-from .queueing import average_power, cost, queue_metrics
+from .queueing import TrafficParams, average_power, cost, queue_metrics
 from .simulate import SimConfig, validate_against_analytic
 from .units import COUNT_LIMIT, parse_quantity
 
@@ -323,9 +322,9 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
             elif var == "alpha":
                 alpha = v
             elif var == "lambda":
-                traffic = replace(sc.traffic, arrival_rate=v)
+                traffic = TrafficParams(v, sc.traffic.file_size_bits)
             else:
-                traffic = replace(sc.traffic, file_size_bits=v)
+                traffic = TrafficParams(sc.traffic.arrival_rate, v)
             cases.append((traffic, alpha, cores))
             sids.append(f"{base}[{var}={label}]")
         for sid, (*_, cores), result in zip(sids, cases,

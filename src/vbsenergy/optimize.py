@@ -32,11 +32,11 @@ same closed form through earth_profile.
 
 The joint search over core counts, whose walk joint_optimize states,
 has two steps. Choose (_choose): one scalar rate solve per core count,
-each returned as one _CountSolve record; only this step decides which
+on the count's profile that best_points builds once per call, each
+returned as one _CountSolve record; only this step decides which
 candidates can be served. Evaluate (best_points): the candidates of
 many cases of one station, a sweep's values, are priced in one kernel
-call, and each case's cheapest wins; joint_optimize is its one-case
-form.
+call; each case's cheapest wins; joint_optimize is its one-case form.
 
 Operating points are evaluated by the cost kernel queueing.cost:
 evaluate_point on one rate, raising its refusal; best_points as above;
@@ -45,8 +45,9 @@ returning each point's status and one TradeoffPoint of arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -252,35 +253,36 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     return lambert_w0(w_arg) - (rate_bps * LN2 / profile.bandwidth_hz - 1.0)
 
 
+def _arrival_rate_bound(p: BusyPowerProfile) -> float:
+    """Largest arrival rate that keeps the sleep-adjusted static power positive."""
+    e_sw = p.switch_energy_j
+    return math.inf if e_sw == 0 else (p.static_power_w - p.sleep_power_w) / (2.0 * e_sw)
+
+
 def _closed_form(profile: BusyPowerProfile,
-                 t: TrafficParams) -> tuple[ExistenceResult, float | None]:
-    """The paper's two existence conditions, decided only here, and the
-    power minimizer r_e at alpha = 0 (None when the sleep-adjusted static
-    power P_s <= 0). The size condition compares the offered load with
-    r_e, so an r_e reported as existing is always a stable rate."""
-    e_sw = profile.switch_energy_j
-    lam_bound = (math.inf if e_sw == 0
-                 else (profile.static_power_w - profile.sleep_power_w) / (2.0 * e_sw))
+                 t: TrafficParams) -> tuple[str | None, float | None]:
+    """The paper's two existence conditions, decided only here: the failed
+    one ("arrival_rate", "file_size" or None), and the power minimizer r_e
+    at alpha = 0 (None when P_s <= 0). The size condition compares the
+    offered load with r_e, so an r_e that exists is always a stable rate."""
     p_s = profile.sleep_adjusted_power(t.arrival_rate)
     if p_s <= 0:
-        return ExistenceResult(False, "arrival_rate", lam_bound, None), None
+        return "arrival_rate", None
     w_arg = (profile.gain * profile.pa_efficiency * p_s - 1.0) / math.e
     r_e = profile.bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
-    exists = t.offered_load_bps < r_e
-    return (ExistenceResult(exists, None if exists else "file_size", lam_bound,
-                            r_e / t.arrival_rate), r_e)
+    return (None if t.offered_load_bps < r_e else "file_size"), r_e
 
 
 def _optimal_rate(profile: BusyPowerProfile, t: TrafficParams) -> float:
     """r_e, or NoEnergyOptimumError naming the failed existence condition."""
-    res, r_e = _closed_form(profile, t)
-    if res.reason == "arrival_rate":
+    reason, r_e = _closed_form(profile, t)
+    if reason == "arrival_rate":
         raise NoEnergyOptimumError(
             f"switching cost dominates: arrival rate must stay below "
-            f"{res.arrival_rate_bound:.6g}/s",
+            f"{_arrival_rate_bound(profile):.6g}/s",
             reason="arrival_rate",
         )
-    if res.reason == "file_size":
+    if reason == "file_size":
         raise NoEnergyOptimumError(
             f"offered load {t.offered_load_bps:.6g} bit/s at or above the "
             f"minimizer {r_e:.6g} bit/s; power only falls as delay grows",
@@ -296,7 +298,10 @@ def energy_optimal_exists(sc: Scenario, n_cores: int) -> ExistenceResult:
     positive; then the offered load must sit below the closed-form
     minimizer. The reported bounds make both checks reproducible.
     """
-    return _closed_form(scenario_profile(sc, n_cores), sc.traffic)[0]
+    profile = scenario_profile(sc, n_cores)
+    reason, r_e = _closed_form(profile, sc.traffic)
+    return ExistenceResult(reason is None, reason, _arrival_rate_bound(profile),
+                           None if r_e is None else r_e / sc.traffic.arrival_rate)
 
 
 def energy_optimal_rate(sc: Scenario, n_cores: int) -> float:
@@ -408,8 +413,9 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     return x_lo, x_hi
 
 
-def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
+def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
     """Rate minimizing z(r) for a fixed core count, ignoring core capacity.
+    profile is the count's scenario_profile, built here when None.
 
     At alpha = 0 this is exactly the closed form; otherwise the unique
     root of the stationarity gap is bracketed by doubling and refined by
@@ -423,28 +429,19 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
     window every test evaluates it. Either way each test gets the sign
     the computed gap has, so the result has the same bits.
     """
-    profile = scenario_profile(sc, n_cores)
-    t = sc.traffic
-    if sc.alpha == 0.0:
+    profile = scenario_profile(sc, n_cores) if profile is None else profile
+    t, alpha = sc.traffic, sc.alpha
+    if alpha == 0.0:
         return _optimal_rate(profile, t)
 
     load = t.offered_load_bps
-    x_lo, x_hi = _gap_window(profile, t, sc.alpha)
-
-    def gap(r: float) -> float:
-        # Outside the window +1 and -1 stand in for the gap: only its
-        # sign is tested.
-        if load < r <= x_lo:
-            return 1.0
-        if x_hi <= r < math.inf:
-            return -1.0
-        return optimality_gap(profile, t, sc.alpha, r)
-
-    # The gap blows up to +inf at the stability boundary; walk the lower
-    # end inward until it is positive.
+    x_lo, x_hi = _gap_window(profile, t, alpha)
+    # The gap is evaluated only in (x_lo, x_hi), positive below and negative
+    # above. It is +inf at the load; walk the lower end in until it is positive.
     eps = 1e-6
     lo = load * (1.0 + eps)
-    while gap(lo) <= 0.0:
+    while not load < lo <= x_lo and (x_hi <= lo < math.inf
+                                     or optimality_gap(profile, t, alpha, lo) <= 0.0):
         eps *= 1e-3
         if eps < 1e-15:
             raise NoEnergyOptimumError(
@@ -454,7 +451,8 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
 
     hi = lo * 2.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if gap(hi) < 0.0:
+        if not load < hi <= x_lo and (x_hi <= hi < math.inf
+                                      or optimality_gap(profile, t, alpha, hi) < 0.0):
             break
         hi *= 2.0
     else:
@@ -464,14 +462,15 @@ def solve_optimal_rate(sc: Scenario, n_cores: int) -> float:
         mid = 0.5 * (lo + hi)
         if (hi - lo) <= _BISECT_RTOL * mid:
             return mid
-        if gap(mid) > 0.0:
+        if load < mid <= x_lo or (not x_hi <= mid < math.inf
+                                  and optimality_gap(profile, t, alpha, mid) > 0.0):
             lo = mid
         else:
             hi = mid
     raise ConvergenceError("bisection failed to converge")
 
 
-def _rate_for_cores(sc: Scenario, n_cores: int) -> _CountSolve:
+def _rate_for_cores(sc: Scenario, n_cores: int, profile=None) -> _CountSolve:
     """The outcome of solving one core count, the only place that turns
     its refusals and a missing optimum into a record."""
     try:
@@ -483,7 +482,7 @@ def _rate_for_cores(sc: Scenario, n_cores: int) -> _CountSolve:
             f"{n_cores} core(s) cannot reach a stable rate for this load"
         ))
     try:
-        r_hat = solve_optimal_rate(sc, n_cores)
+        r_hat = solve_optimal_rate(sc, n_cores, profile)
     except NoEnergyOptimumError:
         # No finite-delay minimum: the cost rises with the rate over the
         # whole stable region, so the capacity is the costliest stable
@@ -500,14 +499,16 @@ def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
     return _rate_for_cores(sc, n_cores).fixed_rate()
 
 
-def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[float, int]]:
+def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int,
+            profile=None) -> list[tuple[float, int]]:
     """The choose step of joint_optimize, whose docstring states the walk:
     the (rate, core count) candidates of one scenario in ascending count
-    that the cost kernel serves. A fixed n_cores gives its record's rate
-    or raises its refusal. The walk reads each count's _CountSolve kind:
-    it skips a refused count, keeps a clamped or no-optimum count and
-    goes on, and keeps the first optimum and stops. Raises the refusal
-    of a scenario left with no candidate.
+    that the cost kernel serves, count n solved on profile(n) (default:
+    its scenario_profile). A fixed n_cores gives its record's rate or
+    raises its refusal. The walk reads each count's _CountSolve kind: it
+    skips a refused count, keeps a clamped or no-optimum count and goes
+    on, and keeps the first optimum and stops. Raises the refusal of a
+    scenario with no candidate.
 
     The walk stops at the first candidate over the link cap, so only the
     last candidate can be over it; it is dropped. The rates need not
@@ -519,8 +520,9 @@ def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[f
     max_supportable_rate, (n s - c0) / kappa, which in floats never
     exceeds the profile's max_rate_bps, ((1 + 1e-12) n s - c0) / kappa.
     """
+    profile = profile or functools.partial(scenario_profile, sc)
     if n_cores is not None:
-        pairs = [(_rate_for_cores(sc, n_cores).fixed_rate(), n_cores)]
+        pairs = [(_rate_for_cores(sc, n_cores, profile(n_cores)).fixed_rate(), n_cores)]
     else:
         if n_cores_max < 1:
             raise ValueError("n_cores_max must be at least 1")
@@ -531,7 +533,7 @@ def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int) -> list[tuple[f
         for n in range(max(1, math.floor(min(need, n_cores_max + 1))), n_cores_max + 1):
             if n * s == (n - 1) * s:
                 break
-            solve = _rate_for_cores(sc, n)
+            solve = _rate_for_cores(sc, n, profile(n))
             if solve.kind == "refused":
                 continue
             pairs.append((solve.rate_bps, n))
@@ -553,23 +555,23 @@ def best_points(sc: Scenario, cases: list[tuple[TrafficParams, float, int | None
                 n_cores_max: int) -> list[JointResult | InfeasibleError]:
     """The optimum of each (traffic, alpha, n_cores) case on sc's station,
     or the refusal that leaves it none; n_cores None searches the counts
-    up to n_cores_max. A case that passes sc's own traffic and alpha
-    reuses sc; any other case solves on a copy.
+    up to n_cores_max. Every alpha is checked before the first solve, and
+    each core count's profile is built once per call, for all cases.
 
     Each case's candidates are chosen on their own (_choose), and all of
     them are priced in one cost call. The cheapest wins; costs within
     TIE_REL_TOL are ties, and the smaller core count wins a tie.
     """
+    scenarios = [Scenario(sc.compute, sc.radio, sc.link, t, a) for t, a, _ in cases]
+    profile = functools.cache(functools.partial(scenario_profile, sc))
     spans, rates, counts, lams, sizes, alphas = [], [], [], [], [], []
-    for traffic, alpha, n_cores in cases:
-        sc_case = (sc if traffic is sc.traffic and alpha == sc.alpha
-                   else replace(sc, traffic=traffic, alpha=alpha))
+    for sc_case, (traffic, alpha, n_cores) in zip(scenarios, cases):
         try:
-            found = _choose(sc_case, n_cores, n_cores_max)
+            found = _choose(sc_case, n_cores, n_cores_max, profile)
         except InfeasibleError as exc:
             spans.append(exc)
             continue
-        spans.append(range(len(rates), len(rates) + len(found)))
+        spans.append(slice(len(rates), len(rates) + len(found)))
         rates += [rate for rate, _ in found]
         counts += [n for _, n in found]
         lams += [traffic.arrival_rate] * len(found)
@@ -579,14 +581,13 @@ def best_points(sc: Scenario, cases: list[tuple[TrafficParams, float, int | None
     c = cost(scenario_profile(sc, np.array(counts, dtype=float)),
              TrafficParams(np.array(lams, dtype=float), np.array(sizes, dtype=float)),
              np.array(alphas, dtype=float), np.array(rates))
-    fields = [f.tolist() for f in c[1:]]
+    table = [TradeoffPoint(*p) for p in zip(rates, counts, *(f.tolist() for f in c[1:]))]
     results: list[JointResult | InfeasibleError] = []
     for case in spans:
         if isinstance(case, InfeasibleError):
             results.append(case)
             continue
-        points = tuple(TradeoffPoint(rates[i], counts[i], *(f[i] for f in fields))
-                       for i in case)
+        points = tuple(table[case])
         best_cost = min(p.cost_z for p in points)
         # Ascending core count, so the first tie wins.
         p = next(p for p in points if p.cost_z <= best_cost * (1.0 + TIE_REL_TOL))

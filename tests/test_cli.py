@@ -185,6 +185,62 @@ def test_sweep_checks_the_core_grid_before_solving(capsys, monkeypatch):
     assert out == "" and "got 1.75" in err
 
 
+def test_sweep_checks_every_alpha_before_solving(capsys, monkeypatch):
+    def solve(*args):
+        raise AssertionError("a point was solved before every alpha was checked")
+
+    # Only the third of the seven values, -1, is negative.
+    monkeypatch.setattr(optimize, "_rate_for_cores", solve)
+    code, out, err = run_cli(capsys, "sweep", "alpha=5:-1:7")
+    assert code == 2
+    assert out == "" and err == "error: alpha must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "lambda=0.2:3:80"),
+    ("sweep", "alpha=0.5:100:20:log", "--cores-max", "16"),
+])
+def test_a_sweep_builds_each_core_count_profile_once(capsys, monkeypatch, argv):
+    walked, built = set(), []
+    solve, profile = optimize._rate_for_cores, optimize.vbs_profile
+
+    def counted_solve(sc, n, *rest):
+        walked.add(n)
+        return solve(sc, n, *rest)
+
+    def counted_profile(*args):
+        built.append(args[-1])
+        return profile(*args)
+
+    monkeypatch.setattr(optimize, "_rate_for_cores", counted_solve)
+    monkeypatch.setattr(optimize, "vbs_profile", counted_profile)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # One scalar profile per count walked, and the kernel's array of counts.
+    assert len(built) <= len(walked) + 1
+
+
+@pytest.mark.parametrize("argv, solves, gaps", [
+    (("sweep", "alpha=0.5:50:6", "--cores-max", "8"), 14, 94),
+    (("sweep", "lambda=0.2:3:6"), 14, 0),
+])
+def test_sweep_solves_and_gaps_go_through_the_traced_names(capsys, monkeypatch, argv,
+                                                           solves, gaps):
+    # perfbench/tracer.py counts solves and gap evaluations by rebinding
+    # these module globals, so a solve or gap moved off them, or one
+    # added, changes what the benchmark reads.
+    calls = dict.fromkeys(("solve_optimal_rate", "optimality_gap"), 0)
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(optimize, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == {"solve_optimal_rate": solves, "optimality_gap": gaps}
+
+
 @st.composite
 def batched_sweeps(draw):
     # Arrival rates up to 12 /s take 3 cores past their capacity, and at

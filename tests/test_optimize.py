@@ -227,11 +227,11 @@ def count_rate_calls(monkeypatch, limit=None):
     calls = []
     solve = optimize._rate_for_cores
 
-    def counted(sc, n):
+    def counted(sc, n, *rest):
         calls.append(n)
         if limit is not None and len(calls) > limit:
             raise AssertionError(f"more than {limit} _rate_for_cores calls")
-        return solve(sc, n)
+        return solve(sc, n, *rest)
 
     monkeypatch.setattr(optimize, "_rate_for_cores", counted)
     return calls
