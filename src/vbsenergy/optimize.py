@@ -25,7 +25,10 @@ W, locates the root; two gap evaluations certify the window's ends, at
 rounding error. Outside the window the computed gap's sign is then
 known, so the bisection takes the same steps with about 6 gap
 evaluations instead of 45. Where no window is certified every test
-evaluates the gap.
+evaluates the gap. A core count whose capacity r_cap lies below the
+root needs no root at all: one gap evaluation just above r_cap, with
+the same margin, certifies that the solve would clamp the count, which
+then costs that one evaluation (_rate_for_cores).
 The closed form and the gap read only the coefficients of a
 BusyPowerProfile, so the macro baseline's optimal rate comes from the
 same closed form through earth_profile.
@@ -33,8 +36,9 @@ same closed form through earth_profile.
 The joint search over core counts, whose walk joint_optimize states,
 has two steps. Choose (_choose): one scalar rate solve per core count,
 on the count's profile that best_points builds once per call, each
-returned as one _CountSolve record; only this step decides which
-candidates can be served. Evaluate (best_points): the candidates of
+returned as one _CountSolve record (at alpha > 0 a clamped count costs
+one gap evaluation instead); only this step decides which candidates
+can be served. Evaluate (best_points): the candidates of
 many cases of one station, a sweep's values, are priced in one kernel
 call; each case's cheapest wins; joint_optimize is its one-case form.
 
@@ -98,6 +102,9 @@ _WINDOW_RTOL = 4e-12
 # The located root is final once a Newton step is this small relative to it.
 _LOCATE_RTOL = 1e-14
 _LOCATE_MAX_ITER = 100
+# A count is clamped without a solve when the gap is certified positive
+# this far above its capacity; it exceeds the bisection's width.
+_CLAMP_RTOL = 1e-11
 
 # A curve point's status by its refusal code, and invalid-delay after them.
 _CURVE_STATUSES = np.array([*map(refusal_status, range(len(REFUSALS))), "invalid-delay"])
@@ -374,6 +381,43 @@ def _locate_root(c: float, b: float, k: float, load: float) -> float | None:
     return None
 
 
+def _gap_terms(profile: BusyPowerProfile, t: TrafficParams,
+               alpha: float) -> tuple[float, float, float]:
+    """(c, b, k) of the gap's Lambert argument a(r) = c (r / (r - load))**2
+    + b and of u(r) = k r - 1."""
+    g_eta = profile.gain * profile.pa_efficiency
+    return (alpha * g_eta / math.e,
+            (g_eta * profile.sleep_adjusted_power(t.arrival_rate) - 1.0) / math.e,
+            LN2 / profile.bandwidth_hz)
+
+
+def _certified_sign(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
+                    terms: tuple[float, float, float], x: float, sign: float) -> bool:
+    """Whether the computed gap at rate x > load has the sign of sign
+    (1.0 or -1.0) with margin M = 1e-12 * (2 + u + |b| / a), evaluating
+    it at most once; terms are _gap_terms. The gap is decreasing, so then every
+    rate in (load, x] has a positive computed gap (sign 1.0), or every
+    finite rate >= x a negative one (sign -1.0).
+
+    M bounds the gap's rounding error with room to spare while a is
+    positive and finite and u is positive: lambert_w0 is within
+    1e-14 * (2 + |W|) of scipy's lambertw up to the largest float
+    (tests/test_lambertw.py::test_error_stays_below_the_window_margin),
+    u rounds by a few ulps, and a = c g**2 + b by a few ulps of |b| + a,
+    which W0 scales by at most 1 / a. Near the branch point (a <= 0) W0
+    is ill-conditioned, so no sign is certified there, nor where u <= 0
+    or a is infinite. Where a and u are positive the gap has the sign of
+    H = ln a - u - ln u, which calls no Lambert W, so the gap is
+    evaluated only where H has the sign sought: a core count whose
+    optimum fits under its capacity pays two logs, not a gap.
+    """
+    c, b, k = terms
+    a, u = c * (x / (x - t.offered_load_bps)) ** 2 + b, k * x - 1.0
+    return (0.0 < a < math.inf and u > 0.0
+            and sign * (math.log(a) - u - math.log(u)) > 0.0
+            and sign * optimality_gap(profile, t, alpha, x) > 1e-12 * (2.0 + u + abs(b) / a))
+
+
 def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
                 alpha: float) -> tuple[float, float]:
     """(x_lo, x_hi) around the gap's root: every rate in (load, x_lo] has
@@ -381,36 +425,18 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     The empty window (load, inf) when none is certified.
 
     Each end is the located root moved by the relative half-width
-    _WINDOW_RTOL, kept only if its computed gap has the right sign with
-    margin M = 1e-12 * (2 + |u| + |b| / a). M bounds the gap's rounding
-    error with room to spare while a and u are positive: lambert_w0 is
-    within 1e-14 * (2 + |W|) of scipy's lambertw up to the largest float
-    (tests/test_lambertw.py::test_error_stays_below_the_window_margin),
-    u rounds by a few ulps, and a = c g**2 + b by a few ulps of |b| + a,
-    which W0 scales by at most 1 / a. The gap is decreasing, so a rate
-    beyond a certified end has a computed gap of the same sign. Near the
-    branch point (a <= 0) W0 is ill-conditioned, so the window is then
-    empty, as it is when u <= 0 or either end's gap misses its margin.
+    _WINDOW_RTOL, kept only if _certified_sign certifies its computed
+    gap's sign; the window is empty when either end is not certified.
     """
     load = t.offered_load_bps
-    g_eta = profile.gain * profile.pa_efficiency
-    c = alpha * g_eta / math.e
-    b = (g_eta * profile.sleep_adjusted_power(t.arrival_rate) - 1.0) / math.e
-    k = LN2 / profile.bandwidth_hz
-    empty = load, math.inf
-    r_hat = _locate_root(c, b, k, load)
-    if r_hat is None or not load < r_hat < math.inf:
-        return empty
-    x_lo, x_hi = r_hat * (1.0 - _WINDOW_RTOL), r_hat * (1.0 + _WINDOW_RTOL)
-    if not x_lo > load:
-        return empty
-    for side, x in ((-1.0, x_lo), (1.0, x_hi)):
-        a, u = c * (x / (x - load)) ** 2 + b, k * x - 1.0
-        if not (a > 0.0 and u > 0.0):
-            return empty
-        if not -side * optimality_gap(profile, t, alpha, x) > 1e-12 * (2.0 + u + abs(b) / a):
-            return empty
-    return x_lo, x_hi
+    terms = _gap_terms(profile, t, alpha)
+    r_hat = _locate_root(*terms, load)
+    if r_hat is not None and load < r_hat < math.inf:
+        x_lo, x_hi = r_hat * (1.0 - _WINDOW_RTOL), r_hat * (1.0 + _WINDOW_RTOL)
+        if (x_lo > load and _certified_sign(profile, t, alpha, terms, x_lo, 1.0)
+                and _certified_sign(profile, t, alpha, terms, x_hi, -1.0)):
+            return x_lo, x_hi
+    return load, math.inf
 
 
 def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
@@ -472,15 +498,36 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
 
 def _rate_for_cores(sc: Scenario, n_cores: int, profile=None) -> _CountSolve:
     """The outcome of solving one core count, the only place that turns
-    its refusals and a missing optimum into a record."""
+    its refusals and a missing optimum into a record. profile is the
+    count's scenario_profile, built here when None.
+
+    At alpha > 0 a count is first tested at x = r_cap * (1 + _CLAMP_RTOL),
+    with at most one gap evaluation: if _certified_sign certifies a
+    positive gap there, the count is clamped, and the interior optimum,
+    which would be thrown away, is not solved for. The record is the one
+    the full solve gives. Every rate in (load, x] then has a positive
+    computed gap, so the lower-end walk finds one (load * (1 + 1e-9)
+    lies below r_cap), and the bisection never moves its upper end to
+    such a rate; the gap goes negative as u grows without bound, so the
+    bracket closes. The bisection's midpoint is then at least
+    hi / (1 + 0.5e-12) > x / (1 + 0.5e-12) > r_cap, which the full solve
+    reports as clamped at r_cap. A count that is not certified is solved
+    in full.
+    """
     try:
         r_cap = max_supportable_rate(sc.compute, n_cores)
     except InfeasibleLoadError as exc:
         return _CountSolve("refused", None, exc)
-    if r_cap <= sc.traffic.offered_load_bps * (1.0 + STABILITY_MARGIN):
+    t = sc.traffic
+    if r_cap <= t.offered_load_bps * (1.0 + STABILITY_MARGIN):
         return _CountSolve("refused", None, InfeasibleScenarioError(
             f"{n_cores} core(s) cannot reach a stable rate for this load"
         ))
+    profile = scenario_profile(sc, n_cores) if profile is None else profile
+    if sc.alpha > 0.0 and _certified_sign(profile, t, sc.alpha,
+                                          _gap_terms(profile, t, sc.alpha),
+                                          r_cap * (1.0 + _CLAMP_RTOL), 1.0):
+        return _CountSolve("clamped", r_cap)
     try:
         r_hat = solve_optimal_rate(sc, n_cores, profile)
     except NoEnergyOptimumError:
@@ -500,11 +547,11 @@ def best_rate_for_cores(sc: Scenario, n_cores: int) -> float:
 
 
 def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int,
-            profile=None) -> list[tuple[float, int]]:
+            profile) -> list[tuple[float, int]]:
     """The choose step of joint_optimize, whose docstring states the walk:
     the (rate, core count) candidates of one scenario in ascending count
-    that the cost kernel serves, count n solved on profile(n) (default:
-    its scenario_profile). A fixed n_cores gives its record's rate or
+    that the cost kernel serves, count n solved on profile(n), its
+    scenario_profile. A fixed n_cores gives its record's rate or
     raises its refusal. The walk reads each count's _CountSolve kind: it
     skips a refused count, keeps a clamped or no-optimum count and goes
     on, and keeps the first optimum and stops. Raises the refusal of a
@@ -520,7 +567,6 @@ def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int,
     max_supportable_rate, (n s - c0) / kappa, which in floats never
     exceeds the profile's max_rate_bps, ((1 + 1e-12) n s - c0) / kappa.
     """
-    profile = profile or functools.partial(scenario_profile, sc)
     if n_cores is not None:
         pairs = [(_rate_for_cores(sc, n_cores, profile(n_cores)).fixed_rate(), n_cores)]
     else:

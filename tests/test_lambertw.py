@@ -61,9 +61,10 @@ def test_matches_scipy():
 
 
 def test_error_stays_below_the_window_margin():
-    # optimize._gap_window certifies a gap sign with margin
+    # optimize._certified_sign certifies a gap sign, for the window's
+    # ends and for a clamped core count, with margin
     # 1e-12 * (2 + |u| + ...), which needs lambert_w0 well inside it
-    # wherever a window is allowed: every positive argument, up to the
+    # wherever a sign is certified: every positive argument, up to the
     # largest float.
     rng = np.random.default_rng(11)
     xs = np.concatenate([

@@ -621,6 +621,97 @@ def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch, alp
     assert locate_ws == []  # the locate runs on logs, not on Lambert W
 
 
+def _full_solve_record(sc: Scenario, n_cores: int):
+    """_rate_for_cores before a clamped count was decided by one gap
+    sign: every count is solved in full and its optimum compared with
+    the capacity. Kept as the reference."""
+    try:
+        r_cap = optimize.max_supportable_rate(sc.compute, n_cores)
+    except InfeasibleLoadError as exc:
+        return optimize._CountSolve("refused", None, exc)
+    if r_cap <= sc.traffic.offered_load_bps * (1.0 + optimize.STABILITY_MARGIN):
+        return optimize._CountSolve("refused", None, InfeasibleScenarioError(""))
+    try:
+        r_hat = solve_optimal_rate(sc, n_cores)
+    except NoEnergyOptimumError:
+        return optimize._CountSolve("no-optimum", r_cap)
+    return optimize._CountSolve(*(("optimum", r_hat) if r_hat <= r_cap else ("clamped", r_cap)))
+
+
+def _record(rate_for_cores, sc, n_cores):
+    """A count's record as (kind, rate in float.hex, refusal type), or
+    the type of what the solve raised."""
+    try:
+        kind, rate, refusal = rate_for_cores(sc, n_cores)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return kind, None if rate is None else rate.hex(), type(refusal)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
+@given(sc=penalized_scenarios(), n_cores=st.integers(1, 64))
+@example(sc=Scenario(alpha=10.0), n_cores=1)  # clamped
+@example(sc=Scenario(alpha=1e308), n_cores=8)
+@example(sc=Scenario(alpha=math.inf), n_cores=2)  # the gap is nan at an infinite rate
+def test_a_count_record_equals_the_full_solve(sc, n_cores):
+    assert _record(optimize._rate_for_cores, sc, n_cores) == _record(_full_solve_record,
+                                                                      sc, n_cores)
+
+
+# Capacities about the solved rate r_hat: below it, inside the bisection
+# width, and around x = r_cap * (1 + 1e-11), where the gap is tested.
+CAP_OFFSETS = [-1e-9, -1e-12, 0.0, 1e-13, 1e-12, 5e-12, 1e-11, 1.2e-11, 1e-9]
+
+
+def _capped_records(sc, n_cores, eps):
+    """Both records of a count whose capacity is r_hat * (1 + eps)."""
+    r_cap = solve_optimal_rate(sc, n_cores) * (1.0 + eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "max_supportable_rate", lambda c, n=None: r_cap)
+        return (_record(optimize._rate_for_cores, sc, n_cores),
+                _record(_full_solve_record, sc, n_cores))
+
+
+@pytest.mark.parametrize("eps", CAP_OFFSETS)
+@pytest.mark.parametrize("sc, n_cores", [
+    (Scenario(alpha=10.0), 2),
+    (Scenario(traffic=TrafficParams(1.0, 4e8), alpha=1e-6), 10),
+    (Scenario(radio=RadioParams(switch_energy_j=300.0), alpha=50.0), 4),
+    (Scenario(traffic=TrafficParams(8.0, 1e6), alpha=1e4), 3),
+])
+def test_a_capacity_next_to_the_optimum_keeps_the_full_solve_record(sc, n_cores, eps):
+    new, full = _capped_records(sc, n_cores, eps)
+    assert new == full
+    assert new[0] == ("clamped" if eps < 0.0 else "optimum")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(sc=penalized_scenarios(), n_cores=st.integers(1, 64), eps=st.sampled_from(CAP_OFFSETS))
+def test_a_drawn_capacity_next_to_the_optimum_keeps_the_full_solve_record(sc, n_cores, eps):
+    try:
+        solve_optimal_rate(sc, n_cores)
+    except NoEnergyOptimumError:
+        assume(False)
+    new, full = _capped_records(sc, n_cores, eps)
+    assume(full[0] != "refused")
+    assert new == full
+
+
+def test_only_a_clamped_count_evaluates_the_gap_outside_a_solve(monkeypatch):
+    calls = []
+    for name in ("solve_optimal_rate", "optimality_gap"):
+        def counted(*args, name=name, fn=getattr(optimize, name)):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(optimize, name, counted)
+    assert optimize._rate_for_cores(Scenario(alpha=10.0), 1) == ("clamped", R_M1, None)
+    assert calls == ["optimality_gap"]
+    calls.clear()
+    assert optimize._rate_for_cores(Scenario(alpha=10.0), 2).kind == "optimum"
+    assert calls[0] == "solve_optimal_rate"
+
+
 def _joint_outcome(search, *args):
     """A joint search's winner and candidates in float.hex, or the type
     and message of what it raised."""
@@ -672,7 +763,8 @@ def test_joint_optimize_equals_the_per_candidate_walk(sc, n_cores_max, n_cores):
 @example(sc=LINK_CAPPED, n_cores_max=30, n_cores=22)
 def test_every_chosen_candidate_is_served(sc, n_cores_max, n_cores):
     try:
-        pairs = optimize._choose(sc, n_cores, n_cores_max)
+        pairs = optimize._choose(sc, n_cores, n_cores_max,
+                                 functools.partial(scenario_profile, sc))
     except InfeasibleError:
         return
     rates, counts = (np.array(x, dtype=float) for x in zip(*pairs))
