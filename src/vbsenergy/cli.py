@@ -301,9 +301,6 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
     if var == "n_cores":
         if args.cores is not None:
             raise ConfigError("an n_cores sweep sets the core count itself; drop --cores")
-        for v in values:
-            if not 1 <= v < COUNT_LIMIT or v != int(v):
-                raise ConfigError(f"n_cores sweep needs integers in [1, 2**53), got {v:g}")
     fixed = _fixed_cores(args)
     rows = []
 
@@ -317,6 +314,8 @@ def cmd_sweep(args, settings: Settings, fh) -> int:
         for v in values:
             traffic, alpha, cores, label = sc.traffic, sc.alpha, fixed, f"{v:.6g}"
             if var == "n_cores":
+                if not 1 <= v < COUNT_LIMIT or v != int(v):
+                    raise ConfigError(f"n_cores sweep needs integers in [1, 2**53), got {v:g}")
                 cores = int(v)
                 label = str(cores)
             elif var == "alpha":

@@ -124,6 +124,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
+        if self.alpha == math.inf:
+            raise ValueError("alpha must be finite")
         if self.radio.bandwidth_hz != self.link.bandwidth_hz:
             raise ValueError(
                 "radio and link bandwidth disagree; build both from one value"
@@ -406,7 +408,7 @@ def _certified_sign(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     u rounds by a few ulps, and a = c g**2 + b by a few ulps of |b| + a,
     which W0 scales by at most 1 / a. Near the branch point (a <= 0) W0
     is ill-conditioned, so no sign is certified there, nor where u <= 0
-    or a is infinite. Where a and u are positive the gap has the sign of
+    or a overflows. Where a and u are positive the gap has the sign of
     H = ln a - u - ln u, which calls no Lambert W, so the gap is
     evaluated only where H has the sign sought: a core count whose
     optimum fits under its capacity pays two logs, not a gap.
@@ -431,7 +433,7 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     load = t.offered_load_bps
     terms = _gap_terms(profile, t, alpha)
     r_hat = _locate_root(*terms, load)
-    if r_hat is not None and load < r_hat < math.inf:
+    if r_hat is not None and load < r_hat:
         x_lo, x_hi = r_hat * (1.0 - _WINDOW_RTOL), r_hat * (1.0 + _WINDOW_RTOL)
         if (x_lo > load and _certified_sign(profile, t, alpha, terms, x_lo, 1.0)
                 and _certified_sign(profile, t, alpha, terms, x_hi, -1.0)):
@@ -464,6 +466,9 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
     x_lo, x_hi = _gap_window(profile, t, alpha)
     # The gap is evaluated only in (x_lo, x_hi), positive below and negative
     # above. It is +inf at the load; walk the lower end in until it is positive.
+    # The walk keeps load < lo, as a subnormal load can round lo to it; it ends
+    # only at lo > load and the bracket only at a finite hi, since the gap
+    # raises at or below the load and at an infinite rate.
     eps = 1e-6
     lo = load * (1.0 + eps)
     while not load < lo <= x_lo and (x_hi <= lo < math.inf
@@ -477,8 +482,7 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
 
     hi = lo * 2.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if not load < hi <= x_lo and (x_hi <= hi < math.inf
-                                      or optimality_gap(profile, t, alpha, hi) < 0.0):
+        if hi > x_lo and (x_hi <= hi < math.inf or optimality_gap(profile, t, alpha, hi) < 0.0):
             break
         hi *= 2.0
     else:
@@ -488,8 +492,7 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
         mid = 0.5 * (lo + hi)
         if (hi - lo) <= _BISECT_RTOL * mid:
             return mid
-        if load < mid <= x_lo or (not x_hi <= mid < math.inf
-                                  and optimality_gap(profile, t, alpha, mid) > 0.0):
+        if mid <= x_lo or (mid < x_hi and optimality_gap(profile, t, alpha, mid) > 0.0):
             lo = mid
         else:
             hi = mid

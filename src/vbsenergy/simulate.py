@@ -439,15 +439,12 @@ def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
 def simulate(cfg: SimConfig) -> SimStats:
     """Run one simulation and return batch-means statistics."""
     p_busy = cfg.profile.busy_power(cfg.rate_bps)  # a refused rate opens no trace
+    if cfg.trace_path is None:
+        return _run(cfg, p_busy, None)
     # Open first, so that a bad path fails before any simulation work; LF
-    # line ends on every platform. try, not with: a with block keeps a bound
-    # __exit__ (64 bytes) alive at an untraced run's memory peak.
-    trace = None if cfg.trace_path is None else open(cfg.trace_path, "w", newline="")
-    try:
+    # line ends on every platform.
+    with open(cfg.trace_path, "w", newline="") as trace:
         return _run(cfg, p_busy, trace)
-    finally:
-        if trace is not None:
-            trace.close()
 
 
 def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:

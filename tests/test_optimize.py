@@ -388,7 +388,7 @@ def test_gap_is_minus_infinity_where_the_cost_rises_off_the_lambert_branch():
 
 
 def test_scenario_validation():
-    for alpha in (-1.0, math.nan):
+    for alpha in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             Scenario(alpha=alpha)
     link = Scenario().link
@@ -592,6 +592,48 @@ def test_a_failed_locate_leaves_the_reference_solve(monkeypatch, located, sc, n_
     assert _outcome(solve_optimal_rate, sc, n_cores) == _outcome(_reference_solve, sc, n_cores)
 
 
+def _gap_rates(sc, n_cores):
+    """Every rate solve_optimal_rate hands optimality_gap."""
+    rates = []
+
+    def recorded(*args):
+        rates.append(args[-1])
+        return optimality_gap(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "optimality_gap", recorded)
+        try:
+            solve_optimal_rate(sc, n_cores)
+        except NoEnergyOptimumError:
+            pass
+    return rates
+
+
+# The bracket and bisection test no rate against the load or inf: the
+# lower-end walk ends above the load, and the gap raises at an infinite rate.
+@settings(PROPERTY_SETTINGS)
+@given(sc=penalized_scenarios(), n_cores=st.integers(1, 64))
+def test_the_gap_is_evaluated_only_between_the_load_and_inf(sc, n_cores):
+    load = sc.traffic.offered_load_bps
+    assert all(load < x < math.inf for x in _gap_rates(sc, n_cores))
+
+
+@pytest.mark.parametrize("located", [
+    lambda load: None, lambda load: math.nan, lambda load: math.inf,
+    lambda load: 4.0 * load, lambda load: load * (1.0 + 1e-13),
+])
+@pytest.mark.parametrize("sc, n_cores", [
+    (Scenario(alpha=10.0), 2),
+    (Scenario(traffic=TrafficParams(1.0, 4e8), alpha=1e-6), 10),
+    (Scenario(radio=RadioParams(switch_energy_j=300.0), alpha=50.0), 4),
+])
+def test_a_failed_locate_evaluates_the_gap_only_between_the_load_and_inf(
+        monkeypatch, located, sc, n_cores):
+    monkeypatch.setattr(optimize, "_locate_root", lambda c, b, k, load: located(load))
+    rates, load = _gap_rates(sc, n_cores), sc.traffic.offered_load_bps
+    assert rates and all(load < x < math.inf for x in rates)
+
+
 @pytest.mark.parametrize("n_cores", range(1, 9))
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 50.0, 100.0])
 def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch, alpha, n_cores):
@@ -652,7 +694,6 @@ def _record(rate_for_cores, sc, n_cores):
 @given(sc=penalized_scenarios(), n_cores=st.integers(1, 64))
 @example(sc=Scenario(alpha=10.0), n_cores=1)  # clamped
 @example(sc=Scenario(alpha=1e308), n_cores=8)
-@example(sc=Scenario(alpha=math.inf), n_cores=2)  # the gap is nan at an infinite rate
 def test_a_count_record_equals_the_full_solve(sc, n_cores):
     assert _record(optimize._rate_for_cores, sc, n_cores) == _record(_full_solve_record,
                                                                       sc, n_cores)
