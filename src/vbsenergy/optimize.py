@@ -466,19 +466,20 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
     x_lo, x_hi = _gap_window(profile, t, alpha)
     # The gap is evaluated only in (x_lo, x_hi), positive below and negative
     # above. It is +inf at the load; walk the lower end in until it is positive.
-    # The walk keeps load < lo, as a subnormal load can round lo to it; it ends
-    # only at lo > load and the bracket only at a finite hi, since the gap
-    # raises at or below the load and at an infinite rate.
+    # Each lower end is at least the float above the load, to which
+    # load * (1 + eps) rounds back for a subnormal load. So lo > load, and the
+    # bracket ends only at a finite hi: the gap raises at or below the load
+    # and at an infinite rate.
     eps = 1e-6
-    lo = load * (1.0 + eps)
-    while not load < lo <= x_lo and (x_hi <= lo < math.inf
-                                     or optimality_gap(profile, t, alpha, lo) <= 0.0):
+    lo = max(load * (1.0 + eps), math.nextafter(load, math.inf))
+    while not lo <= x_lo and (x_hi <= lo < math.inf
+                              or optimality_gap(profile, t, alpha, lo) <= 0.0):
         eps *= 1e-3
         if eps < 1e-15:
             raise NoEnergyOptimumError(
                 "no stationary rate above the stability boundary"
             )
-        lo = load * (1.0 + eps)
+        lo = max(load * (1.0 + eps), math.nextafter(load, math.inf))
 
     hi = lo * 2.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):

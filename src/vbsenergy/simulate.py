@@ -37,10 +37,12 @@ replays the same log, a chunk of lines at a time.
 The trace prints each time with 9 decimals and each energy with 6, in
 the bytes of "%.9f" and "%.6f", which round the exact binary value to
 nearest with ties to even. A chunk is built in numpy as one byte matrix
-with digits computed exactly: the fraction x - floor(x) is exact, its
-product with 10**places is correctly rounded, and where that product
-lies halfway between two integers, the sign of its rounding error,
-exact by Veltkamp's split and Dekker's Fast2Sum, breaks the tie. That
+with a column per line, its digits cut off two at a time by integer
+division and its leading zeros NUL bytes that are dropped. The digits
+are exact: the fraction x - floor(x) is exact, its product with
+10**places is correctly rounded, and where that product lies halfway
+between two integers, the sign of its rounding error, exact by
+Veltkamp's split and Dekker's Fast2Sum, breaks the tie. That
 holds for every time and energy below 2**63 with the sign bit clear; a
 chunk with any other value (negative, -0.0, not finite or at least
 2**63) is written with the "%" template instead.
@@ -65,7 +67,6 @@ depend on the SIMD loops numpy picks for the CPU.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from array import array
@@ -288,27 +289,10 @@ _TRACE_LINE = "%.9f\t%s\t%d\t%.6f\n"
 _EVENT_NAMES = np.array(["depart", "arrive"], dtype=object)  # 1 where n grew
 _PLACES = np.array([[9], [6]])  # fraction digits of the time and the energy
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for a 53-bit significand
-_BLANK = np.int64(10000)  # from a digit group to its blank row
-_NAME_WORDS = np.array([[20001, 20003], [20002, 20004]])  # column 1 where n grew
-_SEP_WORDS = 20005
-
-
-@functools.cache
-def _words():
-    """The four-byte words a chunk's lines are gathered from, ASCII with
-    NUL for a byte the line does not print: each digit group "0000" to
-    "9999" at the index of its value; each again _BLANK rows on with its
-    leading zeros blank ("0" keeps one); a blank word; an event name
-    with its tabs in two words, at _NAME_WORDS; and from _SEP_WORDS on,
-    per digit d, a word ".d\t\n" that holds the separators and the
-    time's first decimal. Built on first use, so an import pays nothing
-    for it."""
-    digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
-                      axis=-1).reshape(-1, 4)
-    blank = digits * (np.arange(10000)[:, None] >= [1000, 100, 10, 0])
-    rest = b"\0\0\0\0\tdepart\t\tarrive\t" + b"".join(b".%d\t\n" % d for d in range(10))
-    table = np.concatenate((digits, blank, np.frombuffer(rest, dtype=np.uint8).reshape(-1, 4)))
-    return table.view(np.uint32).ravel()
+# Digit pairs "00" to "99" and the event names, one column each, as
+# ASCII rows of a chunk's byte matrix.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint8).reshape(100, 2).T
+_NAMES = np.frombuffer(b"departarrive", np.uint8).reshape(2, 6).T  # column 1 where n grew
 
 
 def _fixed_point(x, places):
@@ -344,16 +328,29 @@ def _fixed_point(x, places):
     return (whole + carry).astype(np.int64), (q - scale * carry).astype(np.int64)
 
 
-def _line_columns(size: int, wt: int, wn: int, we: int):
-    """The byte columns of a line in its row of gathered words, given
-    size digit groups per number and the widths of the time's integer
-    part, the queue length and the energy's integer part."""
-    def digits(k, w):  # the last w digits of number k
-        return [4 * (5 * (j // 4) + k) + j % 4 for j in range(4 * size - w, 4 * size)]
+def _digit_rows(rows, at, v, places=0) -> int:
+    """Write each v (int64, not negative) in ASCII down its column of
+    rows, from row at, and return the row after the last digit: places
+    digits for a fraction; for places 0 an integer as wide as the
+    largest v, with NUL for a leading zero (a zero keeps its last
+    digit).
 
-    sep = 20 * size + 8
-    return np.array(digits(0, wt) + [sep, sep + 1] + digits(3, 8) + list(range(sep - 8, sep))
-                    + digits(2, wn) + [sep + 2] + digits(1, we) + [sep] + digits(4, 6) + [sep + 3])
+    Each step takes the last two digits from _PAIRS; an odd width ends
+    on one digit, by then the whole rest of v."""
+    width = places or len(str(v.max()))
+    end = at + width
+    rest = v
+    for i in range(end - 2, at - 1, -2):
+        q = rest // 100
+        # Every index is in range; mode "clip" skips the checked copy.
+        np.take(_PAIRS, rest - 100 * q, axis=1, out=rows[i:i + 2], mode="clip")
+        rest = q
+    if width % 2:
+        rows[at] = rest + 48
+    if not places:
+        for j in range(1, width):  # the digit for 10**j prints where v >= 10**j
+            rows[end - 1 - j] *= v >= 10 ** j
+    return end
 
 
 def _trace_lines(values, grew, n_ev) -> str:
@@ -361,37 +358,28 @@ def _trace_lines(values, grew, n_ev) -> str:
     holds the lines' times and energies as two rows, within
     _fixed_point's domain, and n_ev their queue lengths, not negative.
 
-    Each line's integer parts, queue length and fraction digits (the
-    time's first decimal aside) are cut into four-digit groups, and the
-    groups, the event name and the separators are gathered from _words()
-    into one row of words per line. An integer's top group comes from
-    the blank rows and any group above it is the blank word. A column
-    gather lays each row out as its line, every integer as wide as the
-    chunk's widest, and the blanks are dropped.
+    The chunk is one uint8 matrix with a column per line and a row per
+    byte: the digits of each number, the event name and the separators,
+    every integer as wide as the chunk's widest. Its transpose is the
+    lines' text with NUL for the leading zeros, which are dropped.
     """
     whole, frac = _fixed_point(values, _PLACES)
-    head = frac[0] // 10 ** 8  # the time's first decimal
-    frac[0] -= head * 10 ** 8
-    nums = np.concatenate((whole, n_ev[None], frac))  # time, energy, n, fractions
-    wt, we, wn = (len(str(v)) for v in nums[:3].max(axis=1).tolist())
-    size = -(-max(wt, wn, we, 8) // 4)
-    table = _words()
-    words = np.empty((5 * size + 3, len(n_ev)), dtype=np.uint32)
-    above = 0  # 1 where an integer's group is above its top digit
-    for j in range(size - 1, -1, -1):
-        nxt = nums // 10000
-        group = nums - nxt * 10000
-        top = (nxt[:3] == 0).view(np.int8)
-        group[:3] += (top + above) * _BLANK
-        # Every index is in range; mode "clip" skips the checked copy.
-        np.take(table, group, out=words[5 * j:5 * j + 5], mode="clip")
-        above = top
-        nums = nxt
-    np.take(table, np.take(_NAME_WORDS, grew.view(np.int8), axis=1), out=words[-3:-1],
-            mode="clip")
-    np.take(table, head + _SEP_WORDS, out=words[-1], mode="clip")
-    lines = words.T.copy().view(np.uint8)[:, _line_columns(size, wt, wn, we)]
-    return lines.tobytes().replace(b"\0", b"").decode("ascii")
+    # Beside the integers: two points, 15 decimals, 3 tabs, the 6-byte name, "\n".
+    width = sum(len(str(v.max())) for v in (whole[0], n_ev, whole[1])) + 27
+    lines = np.empty((width, len(n_ev)), dtype=np.uint8)
+    at = _digit_rows(lines, 0, whole[0])
+    lines[at] = ord(".")
+    at = _digit_rows(lines, at + 1, frac[0], 9)
+    lines[at] = ord("\t")
+    np.take(_NAMES, grew.view(np.int8), axis=1, out=lines[at + 1:at + 7], mode="clip")
+    lines[at + 7] = ord("\t")
+    at = _digit_rows(lines, at + 8, n_ev)
+    lines[at] = ord("\t")
+    at = _digit_rows(lines, at + 1, whole[1])
+    lines[at] = ord(".")
+    at = _digit_rows(lines, at + 1, frac[1], 6)
+    lines[at] = ord("\n")
+    return lines.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:

@@ -130,6 +130,18 @@ def test_optimize_solves_past_a_probe_where_the_cost_rises(capsys):
     assert parse_rows(out)[0]["n_cores"] == "2"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--lambda", "1e-320/s", "--file-size", "1bit"),
+    ("--lambda", "1e-300/s", "--file-size", "1e-20bit", "--cores", "4"),
+])
+def test_optimize_solves_a_subnormal_offered_load(capsys, argv):
+    # load * (1 + eps) rounds back to a subnormal load, so the rate solve
+    # starts its lower end at the float above the load.
+    code, out, _ = run_cli(capsys, "optimize", *argv, "--alpha", "1")
+    assert code == 0
+    assert parse_rows(out)[0]["status"] == "ok"
+
+
 def test_sweep_single_step_equals_power(capsys):
     # a one-point delay sweep must agree with the power command at the
     # rate that yields that delay (32 Mbit/s for a 1 s target)

@@ -663,6 +663,69 @@ def test_a_penalized_solve_evaluates_the_gap_only_near_the_root(monkeypatch, alp
     assert locate_ws == []  # the locate runs on logs, not on Lambert W
 
 
+def _margin(sc, n_cores, x):
+    """The certificate's margin M = 1e-12 * (2 + u + |b| / a) at rate x,
+    from the terms its docstring names."""
+    c, b, k = optimize._gap_terms(scenario_profile(sc, n_cores), sc.traffic, sc.alpha)
+    a, u = c * (x / (x - sc.traffic.offered_load_bps)) ** 2 + b, k * x - 1.0
+    return 1e-12 * (2.0 + u + abs(b) / a)
+
+
+# Rates below the root for sign 1.0 and above it for -1.0, where H has
+# the sign sought; |b| / a is about 0.4 against 2 + u of about 3.7, so
+# each of the margin's three terms moves it by more than 1e-6.
+@pytest.mark.parametrize("offset", [1e-3, 0.3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("scale, certified", [(1.0 + 1e-6, True), (1.0 - 1e-6, False)])
+def test_a_sign_is_certified_only_past_the_full_margin(monkeypatch, offset, sign, scale,
+                                                       certified):
+    sc, n_cores = Scenario(alpha=10.0), 2
+    profile = scenario_profile(sc, n_cores)
+    x = solve_optimal_rate(sc, n_cores) * (1.0 - sign * offset)
+    gap = sign * scale * _margin(sc, n_cores, x)
+    monkeypatch.setattr(optimize, "optimality_gap", lambda p, t, alpha, r: gap)
+    terms = optimize._gap_terms(profile, sc.traffic, sc.alpha)
+    assert optimize._certified_sign(profile, sc.traffic, sc.alpha, terms, x, sign) is certified
+    assert not optimize._certified_sign(profile, sc.traffic, sc.alpha, terms, x, -sign)
+
+
+@pytest.mark.parametrize("lo_scale, hi_scale", [(0.75, 0.75), (0.75, 1.25), (1.25, 0.75),
+                                                (1.25, 1.25)])
+def test_the_window_certifies_only_ends_past_the_margin(monkeypatch, lo_scale, hi_scale):
+    # The located root is the solved one, and each end's gap is planted
+    # at 0.75 or 1.25 times its margin, positive below and negative above.
+    sc, n_cores = Scenario(alpha=10.0), 2
+    r0 = solve_optimal_rate(sc, n_cores)
+    x_lo, x_hi = r0 * (1.0 - optimize._WINDOW_RTOL), r0 * (1.0 + optimize._WINDOW_RTOL)
+    gaps = {x_lo: lo_scale * _margin(sc, n_cores, x_lo),
+            x_hi: -hi_scale * _margin(sc, n_cores, x_hi)}
+    monkeypatch.setattr(optimize, "_locate_root", lambda c, b, k, load: r0)
+    monkeypatch.setattr(optimize, "optimality_gap", lambda p, t, alpha, r: gaps[r])
+    window = optimize._gap_window(scenario_profile(sc, n_cores), sc.traffic, sc.alpha)
+    if lo_scale > 1.0 and hi_scale > 1.0:
+        assert window == (x_lo, x_hi)
+    else:
+        assert window == (sc.traffic.offered_load_bps, math.inf)
+
+
+# Capacities one float either side of load * (1 + STABILITY_MARGIN): at
+# or below it a count is refused; above it the count is clamped there.
+@pytest.mark.parametrize("alpha", [0.0, 10.0])
+@pytest.mark.parametrize("step, kind", [(-math.inf, "refused"), (0.0, "refused"),
+                                        (math.inf, "clamped")])
+def test_the_stability_refusal_ends_at_its_margin(monkeypatch, alpha, step, kind):
+    sc = Scenario(alpha=alpha)
+    bound = sc.traffic.offered_load_bps * (1.0 + optimize.STABILITY_MARGIN)
+    r_cap = bound if step == 0.0 else math.nextafter(bound, step)
+    monkeypatch.setattr(optimize, "max_supportable_rate", lambda c, n=None: r_cap)
+    solve = optimize._rate_for_cores(sc, 1)
+    assert solve.kind == kind
+    if kind == "refused":
+        assert isinstance(solve.refusal, InfeasibleScenarioError)
+    else:
+        assert solve.rate_bps == r_cap
+
+
 def _full_solve_record(sc: Scenario, n_cores: int):
     """_rate_for_cores before a clamped count was decided by one gap
     sign: every count is solved in full and its optimum compared with
@@ -892,6 +955,16 @@ oracle_traffic = st.builds(TrafficParams, st.floats(0.1, 3.2),
 def test_a_penalized_solve_lies_within_its_bisection_width_of_the_oracle(t, alpha, n_cores):
     sc = Scenario(traffic=t, alpha=alpha)
     r_star = _oracle_rate(scenario_profile(sc, n_cores), t, alpha)
+    assert abs(solve_optimal_rate(sc, n_cores) - r_star) <= 1e-12 * r_star
+
+
+@pytest.mark.parametrize("n_cores", [1, 4])
+def test_a_subnormal_load_solves_within_its_bisection_width_of_the_oracle(n_cores):
+    # load * (1 + eps) rounds back to this load for every eps the lower-end
+    # walk tries; the gap raises at the load itself.
+    t = TrafficParams(1e-320, 1.0)
+    sc = Scenario(traffic=t, alpha=1.0)
+    r_star = _oracle_rate(scenario_profile(sc, n_cores), t, 1.0)
     assert abs(solve_optimal_rate(sc, n_cores) - r_star) <= 1e-12 * r_star
 
 

@@ -359,6 +359,29 @@ def test_trace_writer_equals_the_reference_on_random_logs(events, powers, chunk)
     assert _package_trace(t, n, powers, chunk) == _reference_trace(t, n, powers)
 
 
+# Integers where a printed width changes, 10**k - 1 and 10**k up to
+# 10**18 (times from 10**16 on round to the doubles there); fractions that
+# carry into the integer part at 9 places for a time and 6 for an energy;
+# and zeros. The leading-zero mask decides each top digit here.
+WIDTH_EDGES = [m for k in range(19) for m in (10 ** k - 1, 10 ** k)]
+
+
+@pytest.mark.parametrize("carry", [False, True])
+def test_trace_lines_at_digit_width_boundaries(carry):
+    k = len(WIDTH_EDGES)
+    t = np.array(WIDTH_EDGES, dtype=float) + 0.9999999995 * carry
+    e = np.roll(WIDTH_EDGES, 13).astype(float) + 0.9999995 * carry
+    n_ev = np.roll(WIDTH_EDGES, 7)
+    grew = np.arange(k) % 2 == 0
+    lines = ["%.9f\t%s\t%d\t%.6f\n" % (x, ("depart", "arrive")[g], m, y)
+             for x, g, m, y in zip(t.tolist(), grew.tolist(), n_ev.tolist(), e.tolist())]
+    values = np.stack((t, e))
+    assert simulate_module._trace_lines(values, grew, n_ev) == "".join(lines)
+    for i in range(k):  # each line alone, as narrow as its own numbers
+        s = slice(i, i + 1)
+        assert simulate_module._trace_lines(values[:, s], grew[s], n_ev[s]) == lines[i]
+
+
 def test_trace_writer_takes_the_percent_path_only_outside_the_digit_domain(monkeypatch):
     # Chunks of three lines: the second holds a time of -0.0, the fourth
     # nan and the sixth one past 2**63; the others are built in numpy.
