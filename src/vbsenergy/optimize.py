@@ -471,15 +471,16 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
     # bracket ends only at a finite hi: the gap raises at or below the load
     # and at an infinite rate.
     eps = 1e-6
-    lo = max(load * (1.0 + eps), math.nextafter(load, math.inf))
-    while not lo <= x_lo and (x_hi <= lo < math.inf
+    while True:
+        lo = max(load * (1.0 + eps), math.nextafter(load, math.inf))
+        if lo <= x_lo or not (x_hi <= lo < math.inf
                               or optimality_gap(profile, t, alpha, lo) <= 0.0):
+            break
         eps *= 1e-3
         if eps < 1e-15:
             raise NoEnergyOptimumError(
                 "no stationary rate above the stability boundary"
             )
-        lo = max(load * (1.0 + eps), math.nextafter(load, math.inf))
 
     hi = lo * 2.0
     for _ in range(_MAX_BRACKET_DOUBLINGS):

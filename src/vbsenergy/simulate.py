@@ -37,7 +37,7 @@ replays the same log, a chunk of lines at a time.
 The trace prints each time with 9 decimals and each energy with 6, in
 the bytes of "%.9f" and "%.6f", which round the exact binary value to
 nearest with ties to even. A chunk is built in numpy as one byte matrix
-with a column per line, its digits cut off two at a time by integer
+with a column per line, its digits cut off one at a time by integer
 division and its leading zeros NUL bytes that are dropped. The digits
 are exact: the fraction x - floor(x) is exact, its product with
 10**places is correctly rounded, and where that product lies halfway
@@ -56,11 +56,11 @@ Statistics use the method of batch means: the post-warmup window is cut
 into equal-duration batches and a Student-t interval is formed from the
 per-batch means. Segment starts and ends are both sorted, so only a
 slice of the segments, found by binary search, can meet one batch. Each
-batch writes its slice's overlaps into a zeroed buffer as long as all
-segments and sums the whole buffer: every segment outside the slice
-overlaps the batch by exactly +0.0, so np.sum adds the same array in the
-same pairwise order as a clip of every segment against the batch, and
-gives the same bits. The generator is numpy's PCG64 seeded through
+batch computes its slice's overlaps in place in a zeroed buffer as long
+as all segments and sums the whole buffer: every segment outside the
+slice overlaps the batch by exactly +0.0, so np.sum adds the same array
+in the same pairwise order as a clip of every segment against the batch,
+and gives the same bits. The generator is numpy's PCG64 seeded through
 SeedSequence, so equal seeds reproduce results bit for bit within one
 numpy SIMD dispatch: bounded-Pareto sizes end in np.power, whose bits
 depend on the SIMD loops numpy picks for the CPU.
@@ -238,6 +238,14 @@ def _draw_sizes(rng: np.random.Generator, distribution: str, mean_bits: float,
     return low * (1.0 - u * (1.0 - (low / high) ** a)) ** (-1.0 / a)
 
 
+def _overlap(t0, t1, lo, hi, out) -> None:
+    """Write into out each segment [t0, t1]'s overlap with [lo, hi], the
+    clip of min(t1, hi) - max(t0, lo) at 0, with one temporary array."""
+    np.minimum(t1, hi, out=out)
+    out -= np.maximum(t0, lo)
+    np.clip(out, 0.0, None, out=out)
+
+
 def _batch_time_stats(t0, t1, n_act, edges):
     """Per-batch queue-length area and busy time from piecewise constant
     segments (start t0, end t1, n_act flows present), t0 and t1 each
@@ -260,12 +268,12 @@ def _batch_time_stats(t0, t1, n_act, edges):
     for k in range(len(edges) - 1):
         lo, hi = edges[k], edges[k + 1]
         s = slice(np.searchsorted(t1, lo, "right"), np.searchsorted(t0, hi))
-        overlap = np.clip(np.minimum(t1[s], hi) - np.maximum(t0[s], lo), 0.0, None)
-        np.multiply(overlap, n_act[s], out=buf[s])
+        _overlap(t0[s], t1[s], lo, hi, buf[s])
+        buf[s] *= n_act[s]
         area[k] = float(np.sum(buf))
         buf[s] = 0.0
         s = slice(np.searchsorted(busy_t1, lo, "right"), np.searchsorted(busy_t0, hi))
-        busy_buf[s] = np.clip(np.minimum(busy_t1[s], hi) - np.maximum(busy_t0[s], lo), 0.0, None)
+        _overlap(busy_t0[s], busy_t1[s], lo, hi, busy_buf[s])
         busy[k] = float(np.sum(busy_buf))
         busy_buf[s] = 0.0
     return area, busy
@@ -289,9 +297,7 @@ _TRACE_LINE = "%.9f\t%s\t%d\t%.6f\n"
 _EVENT_NAMES = np.array(["depart", "arrive"], dtype=object)  # 1 where n grew
 _PLACES = np.array([[9], [6]])  # fraction digits of the time and the energy
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for a 53-bit significand
-# Digit pairs "00" to "99" and the event names, one column each, as
-# ASCII rows of a chunk's byte matrix.
-_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), np.uint8).reshape(100, 2).T
+# The event names, one column each, as ASCII rows of a chunk's byte matrix.
 _NAMES = np.frombuffer(b"departarrive", np.uint8).reshape(2, 6).T  # column 1 where n grew
 
 
@@ -328,27 +334,20 @@ def _fixed_point(x, places):
     return (whole + carry).astype(np.int64), (q - scale * carry).astype(np.int64)
 
 
-def _digit_rows(rows, at, v, places=0) -> int:
-    """Write each v (int64, not negative) in ASCII down its column of
-    rows, from row at, and return the row after the last digit: places
-    digits for a fraction; for places 0 an integer as wide as the
-    largest v, with NUL for a leading zero (a zero keeps its last
-    digit).
-
-    Each step takes the last two digits from _PAIRS; an odd width ends
-    on one digit, by then the whole rest of v."""
-    width = places or len(str(v.max()))
+def _digit_rows(rows, at, v, width: int, blank: bool) -> int:
+    """Write each v (integers, not negative) down its column of rows as
+    width ASCII digits from row at, and return the row after them. With
+    blank, the digit for 10**j is NUL where v < 10**j, so an integer
+    prints without its leading zeros and a zero keeps its last digit."""
     end = at + width
     rest = v
-    for i in range(end - 2, at - 1, -2):
-        q = rest // 100
-        # Every index is in range; mode "clip" skips the checked copy.
-        np.take(_PAIRS, rest - 100 * q, axis=1, out=rows[i:i + 2], mode="clip")
+    for i in range(end - 1, at - 1, -1):
+        q = rest // 10
+        rows[i] = rest - 10 * q
         rest = q
-    if width % 2:
-        rows[at] = rest + 48
-    if not places:
-        for j in range(1, width):  # the digit for 10**j prints where v >= 10**j
+    rows[at:end] += 48
+    if blank:
+        for j in range(1, width):
             rows[end - 1 - j] *= v >= 10 ** j
     return end
 
@@ -364,20 +363,22 @@ def _trace_lines(values, grew, n_ev) -> str:
     lines' text with NUL for the leading zeros, which are dropped.
     """
     whole, frac = _fixed_point(values, _PLACES)
-    # Beside the integers: two points, 15 decimals, 3 tabs, the 6-byte name, "\n".
-    width = sum(len(str(v.max())) for v in (whole[0], n_ev, whole[1])) + 27
-    lines = np.empty((width, len(n_ev)), dtype=np.uint8)
-    at = _digit_rows(lines, 0, whole[0])
+    frac = frac.astype(np.uint32)  # below 10**9, and uint32 divides faster
+    wt, wn, we = (len(str(v.max())) for v in (whole[0], n_ev, whole[1]))
+    # Beside the integers: 9 + 6 decimals, the 6-byte name and ".\t\t\t.\n".
+    lines = np.empty((wt + wn + we + 27, len(n_ev)), dtype=np.uint8)
+    at = _digit_rows(lines, 0, whole[0], wt, True)
     lines[at] = ord(".")
-    at = _digit_rows(lines, at + 1, frac[0], 9)
+    at = _digit_rows(lines, at + 1, frac[0], 9, False)
     lines[at] = ord("\t")
+    # Every index is in range; mode "clip" skips the checked copy.
     np.take(_NAMES, grew.view(np.int8), axis=1, out=lines[at + 1:at + 7], mode="clip")
     lines[at + 7] = ord("\t")
-    at = _digit_rows(lines, at + 8, n_ev)
+    at = _digit_rows(lines, at + 8, n_ev, wn, True)
     lines[at] = ord("\t")
-    at = _digit_rows(lines, at + 1, whole[1])
+    at = _digit_rows(lines, at + 1, whole[1], we, True)
     lines[at] = ord(".")
-    at = _digit_rows(lines, at + 1, frac[1], 6)
+    at = _digit_rows(lines, at + 1, frac[1], 6, False)
     lines[at] = ord("\n")
     return lines.T.tobytes().replace(b"\0", b"").decode("ascii")
 

@@ -277,6 +277,25 @@ def test_batch_time_stats_equal_the_reference_bits(seed, size, zeros, idle, warm
         assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
 
 
+def test_batch_time_stats_hold_one_slice_temporary():
+    # 100,000 busy unit segments in 20 batches: each batch meets a slice
+    # of 5,001. Beside the two buffers and the busy segments' copies of
+    # t0 and t1, the peak holds one slice-sized temporary, not the three
+    # of a clip of min(t1, hi) - max(t0, lo).
+    n = 100_000
+    t0 = np.arange(n, dtype=float)
+    t1, n_act = t0 + 1.0, np.ones(n)
+    edges = np.linspace(0.0, float(n), 21)
+    tracemalloc.start()
+    try:
+        simulate_module._batch_time_stats(t0, t1, n_act, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 4 * t0.nbytes
+    assert held < peak < held + 2 * (t0.nbytes // 20)
+
+
 # 1000 arrivals make 2000 events: a multiple of 1000 and of 2000, one
 # more than 1999, one less than 2001 and than 3 * 667; a chunk of 1
 # writes line by line.
