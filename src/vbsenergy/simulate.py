@@ -54,13 +54,16 @@ last arrival, so it ends on a cycle boundary.
 
 Statistics use the method of batch means: the post-warmup window is cut
 into equal-duration batches and a Student-t interval is formed from the
-per-batch means. Segment starts and ends are both sorted, so only a
-slice of the segments, found by binary search, can meet one batch. Each
-batch computes its slice's overlaps in place in a zeroed buffer as long
-as all segments and sums the whole buffer: every segment outside the
-slice overlaps the batch by exactly +0.0, so np.sum adds the same array
-in the same pairwise order as a clip of every segment against the batch,
-and gives the same bits. The generator is numpy's PCG64 seeded through
+per-batch means. One loop over the batches integrates a weight per
+segment: the queue length over every segment for the area, and 1 over
+the busy segments, those with flows present, for the busy time. Segment
+starts and ends are both sorted, so only a slice of the segments, found
+by binary search, can meet one batch. Each batch computes its slice's
+weighted overlaps in place in a zeroed buffer as long as the series'
+segments and sums the whole buffer: every segment outside the slice
+overlaps the batch by exactly +0.0, so np.sum adds the same array in the
+same pairwise order as a clip of every segment against the batch, and
+gives the same bits. The generator is numpy's PCG64 seeded through
 SeedSequence, so equal seeds reproduce results bit for bit within one
 numpy SIMD dispatch: bounded-Pareto sizes end in np.power, whose bits
 depend on the SIMD loops numpy picks for the CPU.
@@ -238,45 +241,41 @@ def _draw_sizes(rng: np.random.Generator, distribution: str, mean_bits: float,
     return low * (1.0 - u * (1.0 - (low / high) ** a)) ** (-1.0 / a)
 
 
-def _overlap(t0, t1, lo, hi, out) -> None:
-    """Write into out each segment [t0, t1]'s overlap with [lo, hi], the
-    clip of min(t1, hi) - max(t0, lo) at 0, with one temporary array."""
-    np.minimum(t1, hi, out=out)
-    out -= np.maximum(t0, lo)
-    np.clip(out, 0.0, None, out=out)
+def _batch_integral(t0, t1, edges, weight=None):
+    """Per-batch integral of a piecewise constant series over segments
+    [t0, t1], t0 and t1 each sorted: weight on each segment, or 1 where
+    weight is None.
+
+    Only the segments in [searchsorted(t1, lo, "right"),
+    searchsorted(t0, hi)) can meet batch [lo, hi]; every other one
+    overlaps it by exactly +0.0. So the full-length buffer that holds the
+    slice's weighted overlaps, the clip of min(t1, hi) - max(t0, lo) at 0
+    computed in place, and is zeroed again after each sum, is entry for
+    entry the array a clip of every segment against the batch would give.
+    """
+    out = np.zeros(len(edges) - 1)
+    buf = np.zeros(len(t0))
+    for k in range(len(out)):
+        lo, hi = edges[k], edges[k + 1]
+        s = slice(np.searchsorted(t1, lo, "right"), np.searchsorted(t0, hi))
+        part = buf[s]
+        np.minimum(t1[s], hi, out=part)
+        part -= np.maximum(t0[s], lo)
+        np.clip(part, 0.0, None, out=part)
+        if weight is not None:
+            part *= weight[s]
+        out[k] = float(np.sum(buf))
+        part[:] = 0.0
+    return out
 
 
 def _batch_time_stats(t0, t1, n_act, edges):
     """Per-batch queue-length area and busy time from piecewise constant
     segments (start t0, end t1, n_act flows present), t0 and t1 each
-    sorted.
-
-    Only the segments in [searchsorted(t1, lo, "right"),
-    searchsorted(t0, hi)) can meet batch [lo, hi]; every other one
-    overlaps it by exactly +0.0. So the full-length buffer that holds the
-    slice's overlaps, zeroed again after each sum, is entry for entry the
-    array a clip of every segment against the batch would give. The busy
-    time does the same over the segments with flows present.
-    """
+    sorted: the integral of n_act over every segment, and of 1 over the
+    segments with flows present."""
     on = n_act > 0
-    busy_t0, busy_t1 = t0[on], t1[on]
-    del on
-    area = np.zeros(len(edges) - 1)
-    busy = np.zeros(len(edges) - 1)
-    buf = np.zeros(len(t0))
-    busy_buf = np.zeros(len(busy_t0))
-    for k in range(len(edges) - 1):
-        lo, hi = edges[k], edges[k + 1]
-        s = slice(np.searchsorted(t1, lo, "right"), np.searchsorted(t0, hi))
-        _overlap(t0[s], t1[s], lo, hi, buf[s])
-        buf[s] *= n_act[s]
-        area[k] = float(np.sum(buf))
-        buf[s] = 0.0
-        s = slice(np.searchsorted(busy_t1, lo, "right"), np.searchsorted(busy_t0, hi))
-        _overlap(busy_t0[s], busy_t1[s], lo, hi, busy_buf[s])
-        busy[k] = float(np.sum(busy_buf))
-        busy_buf[s] = 0.0
-    return area, busy
+    return _batch_integral(t0, t1, edges, n_act), _batch_integral(t0[on], t1[on], edges)
 
 
 def _batch_mean_by_time(times, values, edges):
@@ -294,7 +293,6 @@ def _batch_mean_by_time(times, values, edges):
 # grow with the run.
 _TRACE_CHUNK = 2048
 _TRACE_LINE = "%.9f\t%s\t%d\t%.6f\n"
-_EVENT_NAMES = np.array(["depart", "arrive"], dtype=object)  # 1 where n grew
 _PLACES = np.array([[9], [6]])  # fraction digits of the time and the energy
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for a 53-bit significand
 # The event names, one column each, as ASCII rows of a chunk's byte matrix.
@@ -417,12 +415,8 @@ def _write_trace(fh, t, n, p_busy: float, p_sleep: float, e_sw: float) -> None:
         if np.all((values < 2.0 ** 63) & ~np.signbit(values)):
             fh.write(_trace_lines(values, grew, n_ev))
             continue
-        fields = [None] * (4 * (b - a))
-        fields[0::4] = now.tolist()
-        fields[1::4] = _EVENT_NAMES[grew.view(np.int8)].tolist()
-        fields[2::4] = n_ev.tolist()
-        fields[3::4] = inc[1::2].tolist()
-        fh.write(_TRACE_LINE * (b - a) % tuple(fields))
+        fh.writelines(_TRACE_LINE % (x, ("depart", "arrive")[g], m, e) for x, g, m, e
+                      in zip(now.tolist(), grew.tolist(), n_ev.tolist(), inc[1::2].tolist()))
 
 
 def simulate(cfg: SimConfig) -> SimStats:
@@ -536,11 +530,9 @@ def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:
 
     # Post-warmup segments: (max(t_prev, t_warm), t, n_prev) where t
     # exceeds that start.
-    t0 = np.maximum(t_prev, t_warm)
-    keep = t_ev > t0
-    seg_t0, seg_t1, seg_n = t0[keep], t_ev[keep], n_prev[keep].astype(float)
-    del t0, keep
-    area_b, busy_b = _batch_time_stats(seg_t0, seg_t1, seg_n, edges)
+    keep = t_ev > np.maximum(t_prev, t_warm)
+    area_b, busy_b = _batch_time_stats(np.maximum(t_prev[keep], t_warm), t_ev[keep],
+                                       n_prev[keep], edges)
 
     # Departures are the events where n falls, and cycles end where it
     # reaches 0; both count only after the warm-up.

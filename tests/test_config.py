@@ -112,6 +112,9 @@ def test_value_validation():
     with pytest.raises(ConfigError):
         apply_override(default_text(), "compute", "warp", "9")
 
+    with pytest.raises(ConfigError, match="missing setting compute.n_cores"):
+        build_settings({"compute": {}})
+
 
 def test_integers_are_refused_from_2_to_the_53():
     # Below 2**53 a float holds every integer, so the text is kept exactly.

@@ -199,6 +199,8 @@ def test_joint_optimize_infeasible():
     with pytest.raises(InfeasibleScenarioError):
         joint_optimize(sc, 1)
     joint_optimize(sc, 4)  # more cores make it feasible again
+    with pytest.raises(ValueError, match="n_cores_max must be at least 1"):
+        joint_optimize(Scenario(), 0)
 
 
 def test_joint_optimize_stops_at_the_first_refused_candidate():
@@ -966,6 +968,41 @@ def test_a_subnormal_load_solves_within_its_bisection_width_of_the_oracle(n_core
     sc = Scenario(traffic=t, alpha=1.0)
     r_star = _oracle_rate(scenario_profile(sc, n_cores), t, 1.0)
     assert abs(solve_optimal_rate(sc, n_cores) - r_star) <= 1e-12 * r_star
+
+
+# Planted scenarios on 1 core, (lambda /s, file bits, alpha, switch
+# energy J), that drive _locate_root through each branch, with the root
+# it returns. The first doubles on the one-sided branch (a > 0 >= u),
+# then takes Newton steps. The second takes the midpoint on the
+# one-sided branch (a <= 0 < u), then again for Newton steps that leave
+# the bracket. The third reaches a <= 0 and u <= 0 at its second
+# midpoint and locates nothing. The first two take 18 steps each; under
+# the cap of 20, a search that trades its Newton steps for the fallback
+# (over 40 steps) locates nothing.
+LOCATE_CASES = [
+    ((0.05, 1e5, 1e-6, 0.0), 70102601.741642),
+    ((0.2075931278778916, 201963578.6427334, 0.0013136221299052356, 300.0), 42071155.26621397),
+    ((0.05, 4e8, 1e-6, 300.0), None),
+]
+
+
+@pytest.mark.parametrize("case, located", LOCATE_CASES)
+def test_the_located_root_at_planted_branches(monkeypatch, case, located):
+    monkeypatch.setattr(optimize, "_LOCATE_MAX_ITER", 20)
+    arrival_rate, size, alpha, switch = case
+    t = TrafficParams(arrival_rate, size)
+    sc = Scenario(radio=RadioParams(switch_energy_j=switch), traffic=t, alpha=alpha)
+    profile = scenario_profile(sc, 1)
+    terms = optimize._gap_terms(profile, t, alpha)
+    r_hat = optimize._locate_root(*terms, t.offered_load_bps)
+    r_star = _oracle_rate(profile, t, alpha)
+    assert r_hat == located
+    if located is None:  # the bisection alone still finds the root
+        r = solve_optimal_rate(sc, 1)
+        assert r == 20005409.90446899
+        assert abs(r - r_star) <= 1e-12 * r_star
+    else:
+        assert abs(r_hat - r_star) <= 1e-14 * r_star
 
 
 @ORACLE_SETTINGS

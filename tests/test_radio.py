@@ -31,6 +31,8 @@ def test_path_loss_at_cell_edge():
 def test_path_loss_distance_slope():
     # 37.6 dB per decade of distance
     assert path_loss_db(5000.0) - path_loss_db(500.0) == pytest.approx(37.6, abs=1e-9)
+    with pytest.raises(ValueError):
+        path_loss_db(0.0)
 
 
 def test_carrier_shift():
@@ -100,6 +102,8 @@ def test_shannon_rate_value():
     g, w = EDGE_GAIN, 20e6
     assert shannon_rate(g, w, 4.2) == pytest.approx(w * math.log2(1.0 + g * 4.2), rel=1e-15)
     assert shannon_rate(g, w, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        shannon_rate(1.0, 1.0, -1.0)
 
 
 def test_rate_power_round_trip():

@@ -279,9 +279,10 @@ def test_batch_time_stats_equal_the_reference_bits(seed, size, zeros, idle, warm
 
 def test_batch_time_stats_hold_one_slice_temporary():
     # 100,000 busy unit segments in 20 batches: each batch meets a slice
-    # of 5,001. Beside the two buffers and the busy segments' copies of
-    # t0 and t1, the peak holds one slice-sized temporary, not the three
-    # of a clip of min(t1, hi) - max(t0, lo).
+    # of 5,001. The busy pass holds the busy mask, the busy segments'
+    # copies of t0 and t1 and its buffer, and the area pass's buffer is
+    # gone by then. Beside them the peak holds one slice-sized temporary,
+    # not the three of a clip of min(t1, hi) - max(t0, lo).
     n = 100_000
     t0 = np.arange(n, dtype=float)
     t1, n_act = t0 + 1.0, np.ones(n)
@@ -292,7 +293,7 @@ def test_batch_time_stats_hold_one_slice_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 4 * t0.nbytes
+    held = 3 * t0.nbytes + n
     assert held < peak < held + 2 * (t0.nbytes // 20)
 
 
