@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
+from ._arrays import np
 from .config import Settings, apply_override, build_settings, read_config, render_config
 from .errors import ConfigError, InfeasibleError, refusal_status
 # best_rate_for_cores stays importable unused: perfbench/tracer.py wraps it here.
@@ -272,7 +272,7 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"sweep grid {grid!r}: {exc}") from exc
-    if not (np.isfinite(start) and np.isfinite(stop)):
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"sweep grid {grid!r} needs finite endpoints")
     if steps < 1:
         raise ConfigError("sweep needs at least one step")
@@ -280,13 +280,17 @@ def _parse_sweep_spec(spec: str) -> tuple[str, list[float]]:
         raise ConfigError("log grids need positive endpoints")
     if steps == 1:
         return name, [start]
-    grid_fn = np.geomspace if len(parts) == 4 else np.linspace
-    # Endpoints of opposite sign near the float limit overflow their span.
-    with np.errstate(all="ignore"):
-        values = grid_fn(start, stop, steps)
-    if not np.isfinite(values).all():
+    if len(parts) == 4:
+        values = np.geomspace(start, stop, steps).tolist()
+    else:  # np.linspace's arithmetic in floats; a span that overflows gives inf
+        n, span = steps - 1, stop - start
+        step = span / n
+        values = [0.0] * steps  # fails at once where it would not fit in memory
+        values[:n] = [i * step + start if step else i / n * span + start for i in range(n)]
+        values[n] = stop
+    if not all(map(math.isfinite, values)):
         raise ConfigError(f"sweep grid {grid!r} leaves the float range")
-    return name, values.tolist()
+    return name, values
 
 
 def cmd_sweep(args, settings: Settings, fh) -> int:
@@ -426,7 +430,7 @@ def main(argv=None) -> int:
         with _out(getattr(args, "output", None)) as fh:
             return args.func(args, settings, fh)
     except (InfeasibleError, ConfigError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_USAGE
 
 

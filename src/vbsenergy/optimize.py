@@ -38,9 +38,9 @@ has two steps. Choose (_choose): one scalar rate solve per core count,
 on the count's profile that best_points builds once per call, each
 returned as one _CountSolve record (at alpha > 0 a clamped count costs
 one gap evaluation instead); only this step decides which candidates
-can be served. Evaluate (best_points): the candidates of
-many cases of one station, a sweep's values, are priced in one kernel
-call; each case's cheapest wins; joint_optimize is its one-case form.
+can be served. Evaluate (best_points): the candidates of many cases of
+one station, a sweep's values, are priced in one kernel call, and one
+case's, joint_optimize's, in a float call each; the cheapest wins.
 
 Operating points are evaluated by the cost kernel queueing.cost:
 evaluate_point on one rate, raising its refusal; best_points as above;
@@ -54,8 +54,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._arrays import is_number, np, quiet
 from .errors import (
     REFUSALS,
     ConvergenceError,
@@ -105,9 +104,6 @@ _LOCATE_MAX_ITER = 100
 # A count is clamped without a solve when the gap is certified positive
 # this far above its capacity; it exceeds the bisection's width.
 _CLAMP_RTOL = 1e-11
-
-# A curve point's status by its refusal code, and invalid-delay after them.
-_CURVE_STATUSES = np.array([*map(refusal_status, range(len(REFUSALS))), "invalid-delay"])
 
 
 @dataclass(frozen=True)
@@ -213,16 +209,16 @@ def cores_needed(c: ComputeParams, rate_bps):
     """Smallest core count whose capacity covers rate_bps, as an int. An
     array of rates gives a float array of counts, inf where no finite
     count covers a rate; a single such rate raises InfeasibleLoadError."""
-    r = np.asarray(rate_bps, dtype=float)
-    if np.any(r < 0):
+    r = float(rate_bps) if is_number(rate_bps) else np.asarray(rate_bps, dtype=float)
+    if (r < 0) if is_number(r) else np.any(r < 0):
         raise ValueError("rate must be nonnegative")
-    with np.errstate(over="ignore"):
-        need = np.maximum(1.0, np.ceil((c.c0 + c.kappa * r) / c.cpu_speed - 1e-12))
-    if r.ndim:
-        return need
+    with quiet():
+        need = (c.c0 + c.kappa * r) / c.cpu_speed - 1e-12
+    if not is_number(r):
+        return np.maximum(1.0, np.ceil(need))
     if not math.isfinite(need):
         raise InfeasibleLoadError(f"no finite core count decodes {rate_bps:.6g} bit/s")
-    return int(need)
+    return max(1, math.ceil(need))
 
 
 def scenario_profile(sc: Scenario, n_cores) -> BusyPowerProfile:
@@ -609,9 +605,9 @@ def best_points(sc: Scenario, cases: list[tuple[TrafficParams, float, int | None
     up to n_cores_max. Every alpha is checked before the first solve, and
     each core count's profile is built once per call, for all cases.
 
-    Each case's candidates are chosen on their own (_choose), and all of
-    them are priced in one cost call. The cheapest wins; costs within
-    TIE_REL_TOL are ties, and the smaller core count wins a tie.
+    Each case's candidates are chosen on their own (_choose) and priced in
+    one cost call, or for one case in a float call each. The cheapest wins;
+    costs within TIE_REL_TOL are ties, and the smaller core count wins a tie.
     """
     scenarios = [Scenario(sc.compute, sc.radio, sc.link, t, a) for t, a, _ in cases]
     profile = functools.cache(functools.partial(scenario_profile, sc))
@@ -629,10 +625,14 @@ def best_points(sc: Scenario, cases: list[tuple[TrafficParams, float, int | None
         sizes += [traffic.file_size_bits] * len(found)
         alphas += [alpha] * len(found)
 
-    c = cost(scenario_profile(sc, np.array(counts, dtype=float)),
-             TrafficParams(np.array(lams, dtype=float), np.array(sizes, dtype=float)),
-             np.array(alphas, dtype=float), np.array(rates))
-    table = [TradeoffPoint(*p) for p in zip(rates, counts, *(f.tolist() for f in c[1:]))]
+    if len(cases) == 1:  # a few candidates: scalar calls, which load no numpy
+        priced = [cost(profile(n), *cases[0][:2], r)[1:] for r, n in zip(rates, counts)]
+    else:
+        c = cost(scenario_profile(sc, np.array(counts, dtype=float)),
+                 TrafficParams(np.array(lams, dtype=float), np.array(sizes, dtype=float)),
+                 np.array(alphas, dtype=float), np.array(rates))
+        priced = zip(*(f.tolist() for f in c[1:]))
+    table = [TradeoffPoint(r, n, *p) for r, n, p in zip(rates, counts, priced)]
     results: list[JointResult | InfeasibleError] = []
     for case in spans:
         if isinstance(case, InfeasibleError):
@@ -697,5 +697,6 @@ def tradeoff_curve(sc: Scenario, delay_grid,
     c = cost(scenario_profile(sc, np.where(finite, cores, 1)), sc.traffic, sc.alpha, rates)
     # Points that no finite core count decodes are over-compute-cap.
     codes = np.where(finite, c.code, REFUSALS.index(InfeasibleLoadError))
-    status = _CURVE_STATUSES[np.where(valid, codes, len(REFUSALS))]
+    statuses = np.array([*map(refusal_status, range(len(REFUSALS))), "invalid-delay"])
+    status = statuses[np.where(valid, codes, len(REFUSALS))]  # by refusal code
     return status, TradeoffPoint(rates, cores, *c[1:])

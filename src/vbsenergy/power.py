@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._arrays import is_number, np, quiet, where
 from .errors import (
     REFUSALS,
     InfeasibleLoadError,
@@ -78,10 +77,10 @@ class ComputeParams:
 
 def check_cores(n_cores):
     """n_cores, one count or a numpy array of them, if each is a positive integer."""
-    if isinstance(n_cores, np.ndarray):
-        ok = np.all(np.isfinite(n_cores) & (n_cores >= 1) & (np.floor(n_cores) == n_cores))
-    else:  # pure Python: a numpy check costs more than a profile
+    if is_number(n_cores):  # pure Python: a numpy check costs more than a profile
         ok = n_cores >= 1 and n_cores == int(n_cores)
+    else:
+        ok = np.all(np.isfinite(n_cores) & (n_cores >= 1) & (np.floor(n_cores) == n_cores))
     if not ok:
         raise ValueError("n_cores must be a positive integer")
     return n_cores
@@ -240,27 +239,26 @@ class BusyPowerProfile:
 
     def busy_power(self, rate_bps):
         """Supply power while serving at rate_bps; scalar or array."""
-        r = np.asarray(rate_bps, dtype=float)
-        with np.errstate(all="ignore"):
+        r = float(rate_bps) if is_number(rate_bps) else np.asarray(rate_bps, dtype=float)
+        with quiet():
             code, p = self.coded_busy_power(r)
         raise_refusal(code, r, self)
-        return float(p) if np.ndim(p) == 0 else p
+        return float(p) if is_number(p) or p.ndim == 0 else p
 
-    def coded_busy_power(self, r, unstable=False):
-        """Busy power at each rate of the float array r, and the index in
+    def coded_busy_power(self, r, stable=True):
+        """Busy power at r, a float or a float array, and the index in
         errors.REFUSALS of the first refusal that applies there (0 if
-        none); unstable marks the rates the queue refuses. Call it under
-        np.errstate: a refused rate's power means nothing and may overflow."""
+        none); stable marks the rates the queue serves. Call it under
+        _arrays.quiet: a refused rate's power means nothing and may overflow."""
         link = over_link_cap(r, self.bandwidth_hz)
+        unstable = where(stable, False, True)
         p_out = tx_power_for_rate(self.gain, self.bandwidth_hz,
-                                  np.where(unstable | link, 0.0, r))
-        cores = r > self.max_rate_bps
-        code = np.zeros(np.shape(cores), dtype=int)
-        if np.count_nonzero(unstable | link | cores):
-            masks = {UnstableQueueError: unstable, LinkCapacityError: link,
-                     InfeasibleLoadError: cores}
-            for k in range(len(REFUSALS) - 1, 0, -1):  # the first refusal wins
-                code = np.where(masks[REFUSALS[k]], k, code)
+                                  where(unstable | link, 0.0, r))
+        masks = {UnstableQueueError: unstable, LinkCapacityError: link,
+                 InfeasibleLoadError: r > self.max_rate_bps}
+        code = 0
+        for k in range(len(REFUSALS) - 1, 0, -1):  # the first refusal wins
+            code = where(masks[REFUSALS[k]], k, code)
         # This grouping reproduces bbu_power + rrh_power bit for bit.
         p = ((self.base_w + self.rate_coeff * r * self.speed_factor)
              + (p_out / self.pa_efficiency + self.rf_w))
@@ -270,11 +268,15 @@ class BusyPowerProfile:
 def raise_refusal(code, rates, profile: BusyPowerProfile, load: float | None = None) -> None:
     """Raise the error of the first refused rate, if any; load is the
     offered load that an unstable rate's message names."""
-    if np.count_nonzero(code):
+    capacity = profile.max_rate_bps
+    if not is_number(code):
+        if not np.count_nonzero(code):
+            return
         i = np.flatnonzero(code)[0]
-        k, rate, capacity = (x.flat[i] for x in np.broadcast_arrays(code, rates, profile.max_rate_bps))
-        raise REFUSALS[k].at(load=load, rate=rate, capacity=capacity,
-                             max_exponent=MAX_RATE_EXPONENT)
+        code, rates, capacity = (x.flat[i] for x in np.broadcast_arrays(code, rates, capacity))
+    if code:
+        raise REFUSALS[code].at(load=load, rate=rates, capacity=capacity,
+                                max_exponent=MAX_RATE_EXPONENT)
 
 
 def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float, n_cores=None) -> BusyPowerProfile:

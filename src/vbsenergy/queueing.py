@@ -13,27 +13,20 @@ adds the switching energy over the mean cycle length:
 
 The planning objective adds a delay penalty through the mean number of
 flows in the system: z = E{P} + alpha * E{n}. cost is the one kernel
-that evaluates it, on one rate or an array of rates, flagging each
-refused rate with a code instead of raising; average_power and
-optimize.evaluate_point are that kernel followed by raise_refusal. The
-arrival rate, file size and alpha may be arrays too, one entry per rate,
-so the operating points of many scenarios go through one call.
+that evaluates it, on one rate in Python floats, with no numpy, or on an
+array of rates, flagging each refused rate with a code; average_power
+and optimize.evaluate_point are that kernel followed by raise_refusal.
+The arrival rate, file size and alpha may be arrays too, one entry per
+rate, so the operating points of many scenarios go through one call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._arrays import div, holds, is_number, np, quiet
 from .errors import UnstableQueueError
 from .power import BusyPowerProfile, raise_refusal
-
-
-def _holds(ok) -> bool:
-    """A comparison's outcome, or for a numpy array whether it holds everywhere."""
-    # Scalars skip numpy: a numpy call costs more than the comparison.
-    return ok.all() if isinstance(ok, np.ndarray) else ok
 
 
 @dataclass(frozen=True)
@@ -46,9 +39,9 @@ class TrafficParams:
     file_size_bits: float | np.ndarray = 1.6e7
 
     def __post_init__(self) -> None:
-        if not _holds(self.arrival_rate > 0):
+        if not holds(self.arrival_rate > 0):
             raise ValueError("arrival rate must be positive")
-        if not _holds(self.file_size_bits > 0):
+        if not holds(self.file_size_bits > 0):
             raise ValueError("file size must be positive")
 
     @property
@@ -72,7 +65,7 @@ def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
 
     Accepts a scalar or an array rate; metrics broadcast accordingly.
     """
-    if not np.all(np.asarray(rate_bps) > t.offered_load_bps):
+    if not holds(rate_bps > t.offered_load_bps):
         raise UnstableQueueError.at(load=t.offered_load_bps)
     rho = t.offered_load_bps / rate_bps
     mean_n = rho / (1.0 - rho)
@@ -105,8 +98,8 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha, rates) -> Cost:
 
     The profile's core counts, t's arrival rate and file size, and alpha
     may each be an array that pairs one value with each rate. Every step
-    is an elementwise + - * / or exp2, so an entry has the bits of the
-    scalar call on its own values.
+    is an elementwise + - * / or libm's 2**x, so an entry has the bits of
+    the call on its own Python floats, whose x / 0 is numpy's (div).
 
     A rate is refused as unstable unless it exceeds the offered load (so
     NaN is refused), then by the profile for the link and core caps.
@@ -115,14 +108,14 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha, rates) -> Cost:
     cost, the idle floor of the extra core weighted by the time it is
     powered.
     """
-    if not _holds(alpha >= 0):
+    if not holds(alpha >= 0):
         raise ValueError("alpha must be nonnegative")
-    r = np.asarray(rates, dtype=float)
+    r = float(rates) if is_number(rates) else np.asarray(rates, dtype=float)
     load = t.offered_load_bps
-    with np.errstate(all="ignore"):
-        code, p_busy = profile.coded_busy_power(r, ~(r > load))
-        rho = load / r
-        mean_n = rho / (1.0 - rho)
+    with quiet():
+        code, p_busy = profile.coded_busy_power(r, r > load)
+        rho = div(load, r)
+        mean_n = div(rho, 1.0 - rho)
         power = (rho * p_busy + (1.0 - rho) * profile.sleep_power_w
                  + 2.0 * profile.switch_energy_j * t.arrival_rate * (1.0 - rho))
         return Cost(code, rho, mean_n, mean_n / t.arrival_rate, power,
@@ -133,4 +126,4 @@ def average_power(profile: BusyPowerProfile, t: TrafficParams, rate_bps):
     """Long-run average supply power at service rate rate_bps."""
     c = cost(profile, t, 0.0, rate_bps)
     raise_refusal(c.code, rate_bps, profile, t.offered_load_bps)
-    return float(c.power_w) if np.ndim(c.power_w) == 0 else c.power_w
+    return float(c.power_w) if is_number(c.power_w) or c.power_w.ndim == 0 else c.power_w

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._arrays import holds, is_number, np
 from .errors import LinkCapacityError
 from .units import db_to_linear, dbm_per_hz_to_w_per_hz
 
@@ -97,12 +96,16 @@ def over_link_cap(rate_bps, bandwidth_hz: float):
 
 def tx_power_for_rate(gain: float, bandwidth_hz: float, rate_bps,
                       max_exponent: float = MAX_RATE_EXPONENT):
-    """Transmit power needed for rate_bps; exact inverse of shannon_rate."""
-    r = np.asarray(rate_bps)
-    if np.count_nonzero(~(r >= 0)):
+    """Transmit power needed for rate_bps; exact inverse of shannon_rate.
+    Its 2**x is libm's, through float ** on every path (np.exp2's SIMD loops
+    round differently), and inf where float ** would raise on overflow."""
+    r = float(rate_bps) if is_number(rate_bps) else np.asarray(rate_bps, dtype=float)
+    if not holds(r >= 0):
         raise ValueError("rate must be nonnegative")
     exponent = r / bandwidth_hz
-    if np.count_nonzero(exponent > max_exponent):
+    if not holds(exponent <= max_exponent):
         raise LinkCapacityError.at(max_exponent=max_exponent)
-    p = (np.exp2(exponent) - 1.0) / gain
-    return float(p) if np.ndim(p) == 0 else p
+    if is_number(r):
+        return ((2.0 ** exponent if exponent < 1024.0 else math.inf) - 1.0) / gain
+    p = [2.0 ** x if x < 1024.0 else math.inf for x in exponent.ravel().tolist()]
+    return (np.array(p).reshape(exponent.shape) - 1.0) / gain

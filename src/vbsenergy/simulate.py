@@ -66,7 +66,7 @@ same pairwise order as a clip of every segment against the batch, and
 gives the same bits. The generator is numpy's PCG64 seeded through
 SeedSequence, so equal seeds reproduce results bit for bit within one
 numpy SIMD dispatch: bounded-Pareto sizes end in np.power, whose bits
-depend on the SIMD loops numpy picks for the CPU.
+depend on the SIMD loops numpy picks; the busy power's 2**x is libm's.
 """
 from __future__ import annotations
 
@@ -75,8 +75,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._arrays import np
 from .errors import UnstableQueueError
 from .power import BusyPowerProfile
 from .queueing import TrafficParams, average_power, queue_metrics
@@ -293,10 +292,7 @@ def _batch_mean_by_time(times, values, edges):
 # grow with the run.
 _TRACE_CHUNK = 2048
 _TRACE_LINE = "%.9f\t%s\t%d\t%.6f\n"
-_PLACES = np.array([[9], [6]])  # fraction digits of the time and the energy
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's splitter for a 53-bit significand
-# The event names, one column each, as ASCII rows of a chunk's byte matrix.
-_NAMES = np.frombuffer(b"departarrive", np.uint8).reshape(2, 6).T  # column 1 where n grew
 
 
 def _fixed_point(x, places):
@@ -360,7 +356,7 @@ def _trace_lines(values, grew, n_ev) -> str:
     every integer as wide as the chunk's widest. Its transpose is the
     lines' text with NUL for the leading zeros, which are dropped.
     """
-    whole, frac = _fixed_point(values, _PLACES)
+    whole, frac = _fixed_point(values, np.array([[9], [6]]))  # the time's and energy's places
     frac = frac.astype(np.uint32)  # below 10**9, and uint32 divides faster
     wt, wn, we = (len(str(v.max())) for v in (whole[0], n_ev, whole[1]))
     # Beside the integers: 9 + 6 decimals, the 6-byte name and ".\t\t\t.\n".
@@ -370,7 +366,9 @@ def _trace_lines(values, grew, n_ev) -> str:
     at = _digit_rows(lines, at + 1, frac[0], 9, False)
     lines[at] = ord("\t")
     # Every index is in range; mode "clip" skips the checked copy.
-    np.take(_NAMES, grew.view(np.int8), axis=1, out=lines[at + 1:at + 7], mode="clip")
+    # The event names, one column each, as ASCII rows: column 1 where n grew.
+    names = np.frombuffer(b"departarrive", np.uint8).reshape(2, 6).T
+    np.take(names, grew.view(np.int8), axis=1, out=lines[at + 1:at + 7], mode="clip")
     lines[at + 7] = ord("\t")
     at = _digit_rows(lines, at + 8, n_ev, wn, True)
     lines[at] = ord("\t")

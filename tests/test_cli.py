@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from reference_walk import reference_sweep
 from vbsenergy import cli, optimize
 from vbsenergy.cli import COLUMNS, COMPARE_COLUMNS, SWEEP_VARS, build_parser, main, write_rows
 from vbsenergy.config import _REGISTRY
-from vbsenergy.errors import InfeasibleLoadError, InfeasibleScenarioError
+from vbsenergy.errors import ConfigError, InfeasibleLoadError, InfeasibleScenarioError
 
 
 def run_cli(capsys, *argv):
@@ -736,6 +737,86 @@ def test_column_writer_blanks_an_int_and_none_column_and_an_all_none_column():
         "a,sweep,50000000,2,0.5,1,0.26,25.8,27.1,analytic,,ok",
         "b,sweep,,,,,,,,analytic,,infeasible",
     ]
+
+
+# Each command line with its exit code, the sha256 of its stdout, both
+# recorded while every command still imported numpy, and whether it may
+# load numpy. The scalar commands come first, then the seven refused
+# inputs of perfbench's cli-cold catalogue (CLI_ERROR_OPS), whose error
+# lines end the run before any array is built; sweeps, the compare grid
+# and simulate compute on arrays.
+EMPTY = hashlib.sha256(b"").hexdigest()
+FRESH_PROCESS = [
+    (("power", "--rate", "50Mbps", "--cores", "2"), 0,
+     "d78d294c5499dfa2b192a52dd84f3895802667f555d9ab427b796cfeb6eea148", False),
+    (("config-show",), 0,
+     "4850aecdbea36b6b351a1e998315baeb28ed85e874f7228f185b515a184296e6", False),
+    (("optimize", "--cores", "2", "--alpha", "0"), 0,
+     "5682fc9e6eded70cdd23f7938dfaef3ae8ea3cca93e5fd5a572f179739dbb3cc", False),
+    (("optimize", "--cores", "3", "--alpha", "5"), 0,
+     "832d6468cf6553fff14708c2723f295a276e0dd842695b323ac3017da068427d", False),
+    (("optimize", "--alpha", "10", "--cores-max", "8"), 0,
+     "8d955fce04d7634dccc2f9189f604c2f30024d56eb3e5716d4140d3184d00b88", False),
+    (("optimize", "--lambda", "1.5/s", "--cores-max", "4"), 0,
+     "8be22e72d3e73c7fce7db43980f99b8f28855f18170732d5b043f5094589fd3c", False),
+    (("compare", "--policy", "cbs-optimal"), 0,
+     "13c460ca24b7e14854eb74a49e64c3142871c4fcd94f76e815cb10511f4f5504", False),
+    (("sweep", "lambda=0:1:3"), 2, EMPTY, False),
+    (("sweep", "file_size=-1:1e7:3"), 2, EMPTY, False),
+    (("sweep", "alpha=-1:1:3", "--cores", "2"), 2, EMPTY, False),
+    (("optimize", "--cores", "0"), 2, EMPTY, False),
+    (("sweep", "target_delay=nan:1:3"), 2, EMPTY, False),
+    (("optimize", "--lambda", "10/s", "--cores", "1"), 3, EMPTY, False),
+    (("power", "--rate", "1Mbps"), 3, EMPTY, False),
+    (("sweep", "alpha=1:50:12"), 0,
+     "71946f625b782b179452f79268084f8e259d0f5e376065e1c7e7017c40104f94", True),
+    (("sweep", "target_delay=0.1:2:12"), 0,
+     "d4a15ee3e7cf2a2b66ab098adf6d480599578d4a660c1ecd637d538bb4195617", True),
+    (("compare", "--policy", "grid"), 0,
+     "34aa769494715425e8ed3df081a237bd4e745e8cb31a496b91c23baacf054320", True),
+    (("simulate", "--rate", "50Mbps", "--cores", "2", "--arrivals", "5000", "--seed", "7"), 0,
+     "b43cc32c1d7ddf09d969e00babc6e49a164358a88f0714c61892f8d2636d58b7", True),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,loads_numpy", FRESH_PROCESS,
+                         ids=[" ".join(a) for a, *_ in FRESH_PROCESS])
+def test_only_array_commands_load_numpy(monkeypatch, argv, code, digest, loads_numpy):
+    # A fresh process runs the command as the console script does, then
+    # reports whether numpy's core ran (numpy._core, numpy.core before 2.0):
+    # importing the package binds numpy without running it, and only an
+    # array loads it.
+    monkeypatch.delenv("VBSENERGY_CONFIG", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    script = ("import sys, vbsenergy.cli\n"
+              "code = vbsenergy.cli.main(sys.argv[1:])\n"
+              "print(any(m in sys.modules for m in ('numpy._core', 'numpy.core')),\n"
+              "      file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest()) == (code, digest)
+    assert proc.stderr.splitlines()[-1] == str(loads_numpy), proc.stderr
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 40))
+@example(0.0, 5e-324, 7)  # a step that underflows to 0
+@example(1e308, -1e308, 3)  # a span that overflows
+@example(0.1, 2.0, 12)
+def test_linear_sweep_grids_are_np_linspace(start, stop, steps):
+    # Linear grids are built in floats, with np.linspace's arithmetic, so
+    # that a sweep refused for its values stops before numpy loads.
+    spec = f"alpha={start!r}:{stop!r}:{steps}"
+    with np.errstate(all="ignore"):
+        want = np.linspace(start, stop, steps)
+    if np.isfinite(want).all():
+        _, values = cli._parse_sweep_spec(spec)
+        assert [v.hex() for v in values] == [v.hex() for v in want.tolist()]
+    else:
+        with pytest.raises(ConfigError, match="leaves the float range"):
+            cli._parse_sweep_spec(spec)
 
 
 # Calls in one process that could leak parser state into the next, with

@@ -25,8 +25,9 @@ def test_known_values():
 
 
 def test_branch_point_snap_and_domain():
-    # Arguments a hair below -1/e from rounding snap to the branch value.
-    assert lambert_w0(BRANCH_POINT_ARG * (1.0 + 1e-16)) == -1.0
+    # Arguments a hair below -1/e from rounding snap to the branch value:
+    # one strictly inside the 1e-15 window, and the float next to -1/e.
+    assert lambert_w0(BRANCH_POINT_ARG - 5e-16) == -1.0
     assert lambert_w0(math.nextafter(BRANCH_POINT_ARG, -math.inf)) == -1.0
     with pytest.raises(LambertDomainError):
         lambert_w0(BRANCH_POINT_ARG - 2e-15)

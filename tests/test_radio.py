@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vbsenergy.config import apply_override, build_settings, default_text
@@ -127,6 +127,20 @@ def test_tx_power_guards():
     with pytest.raises(ValueError):
         tx_power_for_rate(g, w, 61.0 * w)
     tx_power_for_rate(g, w, 59.9 * w)  # just under the guard is fine
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(0.0, 60.0 * 20e6), min_size=1, max_size=100),
+       st.floats(1e-3, 1e3))
+@example(np.linspace(0.0, 60.0 * 20e6, 997).tolist(), EDGE_GAIN)
+def test_every_rate_takes_libms_exp2(rates, gain):
+    # One exp2 on every path: an array entry and a single rate both have
+    # the bits of float **, libm's, whatever SIMD loops numpy dispatches
+    # to; np.exp2's AVX-512 loops differ from it on about 5 % of these.
+    w = 20e6
+    want = [((2.0 ** (r / w) - 1.0) / gain).hex() for r in rates]
+    assert [p.hex() for p in tx_power_for_rate(gain, w, np.array(rates)).tolist()] == want
+    assert [tx_power_for_rate(gain, w, r).hex() for r in rates] == want
 
 
 def test_array_broadcasting():
