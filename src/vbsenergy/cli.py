@@ -36,7 +36,7 @@ from contextlib import nullcontext
 
 from ._arrays import np
 from .config import Settings, apply_override, build_settings, read_config, render_config
-from .errors import ConfigError, InfeasibleError, refusal_status
+from .errors import STATUSES, ConfigError, InfeasibleError
 # best_rate_for_cores stays importable unused: perfbench/tracer.py wraps it here.
 from .optimize import (  # noqa: F401
     Scenario,
@@ -370,7 +370,7 @@ def cmd_compare(args, settings: Settings, fh) -> int:
                 delays.tolist(), rates.tolist(), status.tolist(), vbs.n_cores.tolist(),
                 vbs.avg_power_w.tolist(), c.code.tolist(), c.power_w.tolist()):
             sid = f"{base}[delay={d:.6g}]"
-            s = refusal_status(code) if s == "ok" else s  # the baseline may refuse
+            s = STATUSES[code] if s == "ok" else s  # the baseline may refuse
             if s == "ok":
                 rows.append((sid, d, rate, int(n), p_vbs, p_cbs, 1.0 - p_vbs / p_cbs, "ok"))
             else:

@@ -70,10 +70,7 @@ class ConfigError(VbsError):
 
 # The cost kernel's refusals, each with its ``message``, in the order they
 # take precedence: the kernel flags a refused rate with the index of the
-# first one that applies, and a served rate with 0.
+# first one that applies, and a served rate with 0. STATUSES holds the CSV
+# status of each code.
 REFUSALS = (None, UnstableQueueError, LinkCapacityError, InfeasibleLoadError)
-
-
-def refusal_status(code: int) -> str:
-    """CSV status of a refusal code; 0 is "ok"."""
-    return REFUSALS[code].status if code else "ok"
+STATUSES = ("ok", *(e.status for e in REFUSALS[1:]))

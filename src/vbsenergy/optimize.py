@@ -57,6 +57,7 @@ from typing import NamedTuple
 from ._arrays import is_number, np, quiet
 from .errors import (
     REFUSALS,
+    STATUSES,
     ConvergenceError,
     InfeasibleError,
     InfeasibleLoadError,
@@ -64,7 +65,6 @@ from .errors import (
     LinkCapacityError,
     NoEnergyOptimumError,
     UnstableQueueError,
-    refusal_status,
 )
 from .lambertw import BRANCH_POINT_ARG, lambert_w0
 # Unused static_power, sleep_adjusted_power, average_power and
@@ -697,6 +697,6 @@ def tradeoff_curve(sc: Scenario, delay_grid,
     c = cost(scenario_profile(sc, np.where(finite, cores, 1)), sc.traffic, sc.alpha, rates)
     # Points that no finite core count decodes are over-compute-cap.
     codes = np.where(finite, c.code, REFUSALS.index(InfeasibleLoadError))
-    statuses = np.array([*map(refusal_status, range(len(REFUSALS))), "invalid-delay"])
+    statuses = np.array([*STATUSES, "invalid-delay"])
     status = statuses[np.where(valid, codes, len(REFUSALS))]  # by refusal code
     return status, TradeoffPoint(rates, cores, *c[1:])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._arrays import is_number, np, quiet, where
+from ._arrays import is_number, np, where
 from .errors import (
     REFUSALS,
     InfeasibleLoadError,
@@ -207,9 +207,10 @@ def earth_busy_power(e: EarthParams, p_out_w):
 @dataclass(frozen=True)
 class BusyPowerProfile:
     """Coefficients of the shared busy-power shape plus the sleep-cycle
-    constants. busy_power refuses rates beyond the link budget and above
-    max_rate_bps (the core capacity, with cpu_load's rounding slack). For
-    an array of core counts, base_w and max_rate_bps are arrays too."""
+    constants. Rates beyond the link budget and above max_rate_bps (the
+    core capacity, with cpu_load's rounding slack) are refused. For an
+    array of core counts, base_w and max_rate_bps are arrays too; such a
+    profile serves grids, through coded_busy_power, not busy_power."""
 
     base_w: float | np.ndarray
     rate_coeff: float
@@ -237,19 +238,21 @@ class BusyPowerProfile:
         pay while this is positive."""
         return self.static_power_w - self.sleep_power_w - 2.0 * arrival_rate * self.switch_energy_j
 
-    def busy_power(self, rate_bps):
-        """Supply power while serving at rate_bps; scalar or array."""
-        r = float(rate_bps) if is_number(rate_bps) else np.asarray(rate_bps, dtype=float)
-        with quiet():
-            code, p = self.coded_busy_power(r)
+    def busy_power(self, rate_bps: float) -> float:
+        """Supply power while serving at one rate, on a profile of one core
+        count; a refused rate raises. A grid of rates goes through
+        coded_busy_power or queueing.cost, which flag each refused rate."""
+        r = float(rate_bps)
+        code, p = self.coded_busy_power(r)
         raise_refusal(code, r, self)
-        return float(p) if is_number(p) or p.ndim == 0 else p
+        return float(p)
 
     def coded_busy_power(self, r, stable=True):
         """Busy power at r, a float or a float array, and the index in
         errors.REFUSALS of the first refusal that applies there (0 if
-        none); stable marks the rates the queue serves. Call it under
-        _arrays.quiet: a refused rate's power means nothing and may overflow."""
+        none); stable marks the rates the queue serves. Call it on an array
+        under _arrays.quiet: a refused rate's power means nothing and may
+        overflow."""
         link = over_link_cap(r, self.bandwidth_hz)
         unstable = where(stable, False, True)
         p_out = tx_power_for_rate(self.gain, self.bandwidth_hz,
@@ -265,17 +268,13 @@ class BusyPowerProfile:
         return code, p
 
 
-def raise_refusal(code, rates, profile: BusyPowerProfile, load: float | None = None) -> None:
-    """Raise the error of the first refused rate, if any; load is the
-    offered load that an unstable rate's message names."""
-    capacity = profile.max_rate_bps
-    if not is_number(code):
-        if not np.count_nonzero(code):
-            return
-        i = np.flatnonzero(code)[0]
-        code, rates, capacity = (x.flat[i] for x in np.broadcast_arrays(code, rates, capacity))
+def raise_refusal(code: int, rate: float, profile: BusyPowerProfile,
+                  load: float | None = None) -> None:
+    """Raise the error of refusal code (an index in errors.REFUSALS) at one
+    rate, unless code is 0; load is the offered load that an unstable
+    rate's message names."""
     if code:
-        raise REFUSALS[code].at(load=load, rate=rates, capacity=capacity,
+        raise REFUSALS[code].at(load=load, rate=rate, capacity=profile.max_rate_bps,
                                 max_exponent=MAX_RATE_EXPONENT)
 
 

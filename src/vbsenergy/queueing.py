@@ -15,7 +15,8 @@ The planning objective adds a delay penalty through the mean number of
 flows in the system: z = E{P} + alpha * E{n}. cost is the one kernel
 that evaluates it, on one rate in Python floats, with no numpy, or on an
 array of rates, flagging each refused rate with a code; average_power
-and optimize.evaluate_point are that kernel followed by raise_refusal.
+and optimize.evaluate_point are that kernel on one rate followed by
+raise_refusal, so a grid flags and a point raises.
 The arrival rate, file size and alpha may be arrays too, one entry per
 rate, so the operating points of many scenarios go through one call.
 """
@@ -60,12 +61,10 @@ class QueueMetrics:
     mean_cycle_s: float
 
 
-def queue_metrics(t: TrafficParams, rate_bps) -> QueueMetrics:
-    """Utilization, mean flows in system, mean delay, and mean cycle length.
-
-    Accepts a scalar or an array rate; metrics broadcast accordingly.
-    """
-    if not holds(rate_bps > t.offered_load_bps):
+def queue_metrics(t: TrafficParams, rate_bps: float) -> QueueMetrics:
+    """Utilization, mean flows in system, mean delay, and mean cycle length
+    at one rate; a rate at or below the offered load raises."""
+    if not rate_bps > t.offered_load_bps:
         raise UnstableQueueError.at(load=t.offered_load_bps)
     rho = t.offered_load_bps / rate_bps
     mean_n = rho / (1.0 - rho)
@@ -122,8 +121,8 @@ def cost(profile: BusyPowerProfile, t: TrafficParams, alpha, rates) -> Cost:
                     power + alpha * mean_n)
 
 
-def average_power(profile: BusyPowerProfile, t: TrafficParams, rate_bps):
-    """Long-run average supply power at service rate rate_bps."""
+def average_power(profile: BusyPowerProfile, t: TrafficParams, rate_bps: float) -> float:
+    """Long-run average supply power at one service rate; a refused rate raises."""
     c = cost(profile, t, 0.0, rate_bps)
     raise_refusal(c.code, rate_bps, profile, t.offered_load_bps)
-    return float(c.power_w) if is_number(c.power_w) or c.power_w.ndim == 0 else c.power_w
+    return float(c.power_w)

@@ -98,7 +98,10 @@ def tx_power_for_rate(gain: float, bandwidth_hz: float, rate_bps,
                       max_exponent: float = MAX_RATE_EXPONENT):
     """Transmit power needed for rate_bps; exact inverse of shannon_rate.
     Its 2**x is libm's, through float ** on every path (np.exp2's SIMD loops
-    round differently), and inf where float ** would raise on overflow."""
+    round differently), and inf where float ** would raise on overflow.
+    Equal rates give equal bits within one libm CPU dispatch: glibc's pow
+    with AVX2 and FMA masked differs by 1 ulp on about 6 in 10,000
+    exponents in [0, 60)."""
     r = float(rate_bps) if is_number(rate_bps) else np.asarray(rate_bps, dtype=float)
     if not holds(r >= 0):
         raise ValueError("rate must be nonnegative")

@@ -65,8 +65,10 @@ overlaps the batch by exactly +0.0, so np.sum adds the same array in the
 same pairwise order as a clip of every segment against the batch, and
 gives the same bits. The generator is numpy's PCG64 seeded through
 SeedSequence, so equal seeds reproduce results bit for bit within one
-numpy SIMD dispatch: bounded-Pareto sizes end in np.power, whose bits
-depend on the SIMD loops numpy picks; the busy power's 2**x is libm's.
+numpy SIMD dispatch and one libm CPU dispatch: bounded-Pareto sizes end
+in np.power, whose bits depend on the SIMD loops numpy picks, and the
+busy power's 2**x is libm's pow, whose bits depend on the code path
+glibc picks for the CPU (AVX2 and FMA, or not).
 """
 from __future__ import annotations
 
@@ -203,24 +205,18 @@ def halfwidth(batch_values, confidence: float) -> float:
     The quantile comes from ``_T_QUANTILES``, a table of
     ``scipy.special.stdtrit`` values (the function ``scipy.stats.t.ppf``
     calls), so the bits are scipy's without importing it. The table
-    holds confidence 0.95 and 0.99 at 1 to N_BATCHES - 1 degrees of
-    freedom; any other pair raises ValueError. Fewer than two values
-    give an infinite halfwidth.
+    holds every pair a caller sends: confidence 0.95 or 0.99 (SimStats
+    uses CONFIDENCE, and validate_against_analytic refuses any other
+    level first) at 1 to N_BATCHES - 1 degrees of freedom (a series has
+    at most N_BATCHES values). Fewer than two values give an infinite
+    halfwidth.
     """
     v = np.asarray(batch_values, dtype=float)
     n = v.size
     if n < 2:
         return math.inf
-    df = n - 1
-    row = _T_QUANTILES.get(confidence, ())
-    if df > len(row):
-        raise ValueError(
-            f"no Student-t quantile for confidence {confidence!r} at {df} "
-            f"degrees of freedom; supported: confidence {_LEVELS} "
-            f"at 1 to {N_BATCHES - 1}"
-        )
     with np.errstate(over="ignore"):  # a spread past the float range is inf
-        return float(row[df - 1] * v.std(ddof=1) / math.sqrt(n))
+        return float(_T_QUANTILES[confidence][n - 2] * v.std(ddof=1) / math.sqrt(n))
 
 
 def _draw_sizes(rng: np.random.Generator, distribution: str, mean_bits: float,

@@ -43,3 +43,24 @@ def test_top_level_exports_exactly_the_readme_example_imports():
                 for alias in node.names}
     assert imported
     assert set(vbsenergy.__all__) == imported
+
+
+def test_every_name_a_package_module_imports_is_used():
+    # A name imported and never read is a dead import. A statement that keeps
+    # one on purpose (a name re-exported or wrapped from outside) says so with
+    # "# noqa: F401"; a name in __all__ counts as read.
+    unused = []
+    for path in sorted((ROOT / "src" / "vbsenergy").glob("*.py")):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "__all__" for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and "# noqa: F401" not in lines[node.lineno - 1]):
+                unused += [f"{path.name}: {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert unused == []

@@ -1,6 +1,7 @@
 """Rate and core-count optimization."""
 import functools
 import math
+import random
 from dataclasses import replace
 
 import mpmath
@@ -556,18 +557,26 @@ def _outcome(solve, sc, n_cores):
         return type(exc)
 
 
+# Switch energies up to 300 J make the sleep-adjusted power negative on
+# part of this range, tiny alphas put the root next to the load, and
+# arrival rates up to 10 /s put more roots below W / ln2, where u <= 0 and
+# the window is empty. File size and alpha are drawn as powers of ten.
+_PENALIZED_RANGES = {"p_core_min_w": (0.0, 19.0), "kappa": (1.0, 100.0),
+                     "switch_energy_j": (0.0, 300.0), "arrival_rate": (0.05, 10.0),
+                     "log10_file_size": (4.0, 9.0), "log10_alpha": (-9.0, 4.0)}
+
+
+def _penalized_scenario(x):
+    """The scenario of one draw x of _PENALIZED_RANGES."""
+    return Scenario(compute=ComputeParams(p_core_min_w=x["p_core_min_w"], kappa=x["kappa"]),
+                    radio=RadioParams(switch_energy_j=x["switch_energy_j"]),
+                    traffic=TrafficParams(x["arrival_rate"], 10.0 ** x["log10_file_size"]),
+                    alpha=10.0 ** x["log10_alpha"])
+
+
 @st.composite
 def penalized_scenarios(draw):
-    # Switch energies up to 300 J make the sleep-adjusted power negative
-    # on part of this range, tiny alphas put the root next to the load,
-    # and arrival rates up to 10 /s put more roots below W / ln2, where
-    # u <= 0 and the window is empty.
-    compute = ComputeParams(p_core_min_w=draw(st.floats(0.0, 19.0)),
-                            kappa=draw(st.floats(1.0, 100.0)))
-    radio = RadioParams(switch_energy_j=draw(st.floats(0.0, 300.0)))
-    traffic = TrafficParams(draw(st.floats(0.05, 10.0)), 10.0 ** draw(st.floats(4.0, 9.0)))
-    return Scenario(compute=compute, radio=radio, traffic=traffic,
-                    alpha=10.0 ** draw(st.floats(-9.0, 4.0)))
+    return _penalized_scenario({k: draw(st.floats(*r)) for k, r in _PENALIZED_RANGES.items()})
 
 
 @settings(PROPERTY_SETTINGS, max_examples=500)
@@ -576,6 +585,31 @@ def penalized_scenarios(draw):
 @example(sc=Scenario(alpha=10.0), n_cores=2)
 def test_windowed_solve_equals_the_reference_bits(sc, n_cores):
     assert _outcome(solve_optimal_rate, sc, n_cores) == _outcome(_reference_solve, sc, n_cores)
+
+
+def test_most_returning_solves_run_in_a_certified_window(monkeypatch):
+    # An uncertified window falls back to a bisection with the same bits, so
+    # only the share of certified windows shows a locate or certificate that
+    # stopped working. 500 seeded draws give 461 returning solves, 246 of
+    # them (53.4 %) in a certified window.
+    gap_window, windows = optimize._gap_window, []
+
+    def recorded(*args):
+        windows.append(gap_window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(optimize, "_gap_window", recorded)
+    rng = random.Random(0)
+    certified = []
+    for _ in range(500):
+        sc = _penalized_scenario({k: rng.uniform(*r) for k, r in _PENALIZED_RANGES.items()})
+        try:
+            solve_optimal_rate(sc, rng.randint(1, 64))
+        except NoEnergyOptimumError:
+            continue
+        certified.append(windows[-1][1] < math.inf)
+    assert len(certified) > 400
+    assert sum(certified) >= 0.5 * len(certified)
 
 
 # 4 loads is far from each of these roots, and load * (1 + 1e-13) leaves

@@ -150,7 +150,9 @@ def test_profile_kernel_equals_composed_models_exactly(n):
         np.random.default_rng(n).uniform(0.0, r_cap, 2000),
     ])
     composed = bbu_power(c, rates) + rrh_power(rp, tx_power_for_rate(GAIN, 20e6, rates))
-    assert np.array_equal(vbs_profile(c, rp, GAIN).busy_power(rates), composed)
+    code, busy = vbs_profile(c, rp, GAIN).coded_busy_power(rates)
+    assert not np.any(code)
+    assert np.array_equal(busy, composed)
     assert vbs_busy_power(c, rp, GAIN, float(rates[7])) == composed[7]
 
 

@@ -101,11 +101,11 @@ def test_array_rates():
     t = TrafficParams()
     prof = vbs_profile(ComputeParams(n_cores=2), RadioParams(), GAIN)
     rates = np.linspace(2e7, 9e7, 8)
-    qm = queue_metrics(t, rates)
-    assert qm.rho.shape == rates.shape
-    assert np.all(np.diff(qm.mean_delay_s) < 0)  # faster service, less delay
-    p = average_power(prof, t, rates)
-    assert p.shape == rates.shape
+    c = cost(prof, t, 0.0, rates)
+    assert not np.any(c.code)
+    assert c.rho.shape == rates.shape
+    assert np.all(np.diff(c.mean_delay_s) < 0)  # faster service, less delay
+    assert c.power_w.shape == rates.shape
 
 
 def _with_neighbours(x):
@@ -178,11 +178,11 @@ def test_traffic_and_alpha_arrays_are_checked_entry_by_entry(bad):
                  np.array([5e7, 6e7]))
 
 
-def test_a_refusal_on_an_array_of_counts_names_its_own_capacity():
-    # 5e7 bit/s fits on 2 cores but not on 1, whose capacity is r_M(1).
+def test_a_refusal_names_the_core_capacity():
+    # 5e7 bit/s does not fit on 1 core, whose capacity is r_M(1).
     sc = Scenario()
-    prof = scenario_profile(sc, np.array([2, 1]))
+    prof = scenario_profile(sc, 1)
     with pytest.raises(InfeasibleLoadError, match=r"core capacity 3\.71429e\+07 bit/s"):
-        average_power(prof, sc.traffic, np.array([5e7, 5e7]))
+        average_power(prof, sc.traffic, 5e7)
     with pytest.raises(InfeasibleLoadError, match=r"core capacity 3\.71429e\+07 bit/s"):
         prof.busy_power(5e7)
