@@ -52,6 +52,12 @@ def test_halfwidth_of_a_spread_past_the_float_range_is_infinite():
     assert halfwidth([1e300, -1e300] * 10, 0.95) == math.inf
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_halfwidth_of_fewer_than_two_values_is_infinite(n):
+    # The quantile index n - 2 would count from the table's end here.
+    assert halfwidth(np.ones(n), 0.99) == math.inf
+
+
 @pytest.mark.parametrize("confidence", [0.95, 0.99])
 def test_halfwidth_equals_the_scipy_reference_bits(confidence):
     # Every (confidence, df) pair of the quantile table: df 1 to 19,
