@@ -4,14 +4,12 @@ For a fixed core count the cost z(r) = E{P}(r) + alpha * E{n}(r) has at
 most one interior stationary point in the stable region r > lambda * L.
 Setting dz/dr = 0 and substituting u = r ln2 / W - 1 gives a Lambert W
 equation, so the stationarity condition can be written as a gap
+W0(a(r)) - u(r), with a and u defined in _gap_terms alone. The gap is
+strictly decreasing in r; its root is the cost minimizer. At alpha = 0
+the argument is the constant b of _gap_terms and the root has the
+closed form
 
-    gap(r) = W0(a(r)) - (r ln2 / W - 1),
-    a(r) = alpha g eta / e * (r / (r - lambda L))**2 + (g eta P_s - 1) / e,
-
-which is strictly decreasing in r; its root is the cost minimizer. At
-alpha = 0 the argument is constant and the root has the closed form
-
-    r_e = W / ln2 * (W0((g eta P_s - 1) / e) + 1),
+    r_e = W / ln2 * (W0(b) + 1),
 
 which exists inside the stable region iff P_s > 0 and lambda L < r_e.
 P_s is the sleep-adjusted static power, so r_e depends on neither the
@@ -92,8 +90,7 @@ TIE_REL_TOL = 1e-9
 STABILITY_MARGIN = 1e-9
 
 _BISECT_RTOL = 1e-12
-# Enough doublings to walk from the smallest subnormal to the largest float.
-_MAX_BRACKET_DOUBLINGS = 2100
+# The bisection's midpoint can round onto an end in a subnormal bracket.
 _MAX_BISECT_ITER = 500
 # Relative half-width of the certified gap window; it leaves about four
 # bisection steps inside it.
@@ -239,7 +236,7 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
                    rate_bps: float) -> float:
     """Signed stationarity gap of z = E{P} + alpha * E{n} at rate_bps;
     positive while the cost is still falling, zero at its minimizer, and
-    negative where it rises.
+    negative where it rises; a(r) and u(r) are those of _gap_terms.
 
     Where the Lambert argument a(r) falls below -1/e the gap is -inf:
     u * e**u >= -1/e > a(r) for every u, so dz/dr > 0 there.
@@ -247,12 +244,8 @@ def optimality_gap(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     load = t.offered_load_bps
     if not rate_bps > load:
         raise UnstableQueueError.at(load=load)
-    g_eta = profile.gain * profile.pa_efficiency
-    p_s = profile.sleep_adjusted_power(t.arrival_rate)
-    w_arg = (
-        alpha * g_eta / math.e * (rate_bps / (rate_bps - load)) ** 2
-        + (g_eta * p_s - 1.0) / math.e
-    )
+    c, b, _ = _gap_terms(profile, t, alpha)
+    w_arg = c * (rate_bps / (rate_bps - load)) ** 2 + b
     if w_arg < BRANCH_POINT_ARG:
         return -math.inf
     return lambert_w0(w_arg) - (rate_bps * LN2 / profile.bandwidth_hz - 1.0)
@@ -270,11 +263,10 @@ def _closed_form(profile: BusyPowerProfile,
     one ("arrival_rate", "file_size" or None), and the power minimizer r_e
     at alpha = 0 (None when P_s <= 0). The size condition compares the
     offered load with r_e, so an r_e that exists is always a stable rate."""
-    p_s = profile.sleep_adjusted_power(t.arrival_rate)
-    if p_s <= 0:
+    if profile.sleep_adjusted_power(t.arrival_rate) <= 0:
         return "arrival_rate", None
-    w_arg = (profile.gain * profile.pa_efficiency * p_s - 1.0) / math.e
-    r_e = profile.bandwidth_hz / LN2 * (lambert_w0(w_arg) + 1.0)
+    _, b, _ = _gap_terms(profile, t, 0.0)
+    r_e = profile.bandwidth_hz / LN2 * (lambert_w0(b) + 1.0)
     return (None if t.offered_load_bps < r_e else "file_size"), r_e
 
 
@@ -337,9 +329,9 @@ def asymptotic_power(sc: Scenario, n_cores: int) -> float:
 
 
 def _locate_root(c: float, b: float, k: float, load: float) -> float | None:
-    """Approximate root of W0(a(r)) = u(r), with a(r) = c (r / (r - load))**2
-    + b and u(r) = k r - 1, found with no Lambert W; None when the search
-    fails.
+    """Approximate root of W0(a(r)) = u(r), with a and u those of
+    _gap_terms for its (c, b, k), found with no Lambert W; None when the
+    search fails.
 
     Where a and u are positive the equation is H(r) = ln a - u - ln u = 0,
     and H is decreasing. Newton steps on H stay inside the bracket of
@@ -381,8 +373,12 @@ def _locate_root(c: float, b: float, k: float, load: float) -> float | None:
 
 def _gap_terms(profile: BusyPowerProfile, t: TrafficParams,
                alpha: float) -> tuple[float, float, float]:
-    """(c, b, k) of the gap's Lambert argument a(r) = c (r / (r - load))**2
-    + b and of u(r) = k r - 1."""
+    """(c, b, k) of the gap W0(a(r)) - u(r), whose model is defined here
+    alone: a(r) = c (r / (r - lambda L))**2 + b with c = alpha g eta / e
+    and b = (g eta P_s - 1) / e; u(r) = k r - 1 with k = ln2 / W, which
+    optimality_gap rounds as r ln2 / W - 1. An a that overflows makes the
+    computed gap +inf; W0 above the largest float exceeds 700, a u far
+    past the link cap."""
     g_eta = profile.gain * profile.pa_efficiency
     return (alpha * g_eta / math.e,
             (g_eta * profile.sleep_adjusted_power(t.arrival_rate) - 1.0) / math.e,
@@ -390,12 +386,12 @@ def _gap_terms(profile: BusyPowerProfile, t: TrafficParams,
 
 
 def _certified_sign(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
-                    terms: tuple[float, float, float], x: float, sign: float) -> bool:
+                    x: float, sign: float) -> bool:
     """Whether the computed gap at rate x > load has the sign of sign
     (1.0 or -1.0) with margin M = 1e-12 * (2 + u + |b| / a), evaluating
-    it at most once; terms are _gap_terms. The gap is decreasing, so then every
-    rate in (load, x] has a positive computed gap (sign 1.0), or every
-    finite rate >= x a negative one (sign -1.0).
+    it at most once; a, b and u are those of _gap_terms. The gap is
+    decreasing, so then every rate in (load, x] has a positive computed
+    gap (sign 1.0), or every finite rate >= x a negative one (sign -1.0).
 
     M bounds the gap's rounding error with room to spare while a is
     positive and finite and u is positive: lambert_w0 is within
@@ -403,17 +399,20 @@ def _certified_sign(profile: BusyPowerProfile, t: TrafficParams, alpha: float,
     (tests/test_lambertw.py::test_error_stays_below_the_window_margin),
     u rounds by a few ulps, and a = c g**2 + b by a few ulps of |b| + a,
     which W0 scales by at most 1 / a. Near the branch point (a <= 0) W0
-    is ill-conditioned, so no sign is certified there, nor where u <= 0
-    or a overflows. Where a and u are positive the gap has the sign of
+    is ill-conditioned, so no sign is certified there, nor where u <= 0.
+    Where a and u are positive the gap has the sign of
     H = ln a - u - ln u, which calls no Lambert W, so the gap is
     evaluated only where H has the sign sought: a core count whose
-    optimum fits under its capacity pays two logs, not a gap.
+    optimum fits under its capacity pays two logs, not a gap. Where a is
+    +inf so is the computed gap, positive at any margin (a NaN one, too,
+    where b is +inf).
     """
-    c, b, k = terms
+    c, b, k = _gap_terms(profile, t, alpha)
     a, u = c * (x / (x - t.offered_load_bps)) ** 2 + b, k * x - 1.0
-    return (0.0 < a < math.inf and u > 0.0
-            and sign * (math.log(a) - u - math.log(u)) > 0.0
-            and sign * optimality_gap(profile, t, alpha, x) > 1e-12 * (2.0 + u + abs(b) / a))
+    if not (a > 0.0 and u > 0.0 and sign * (math.log(a) - u - math.log(u)) > 0.0):
+        return False
+    gap = sign * optimality_gap(profile, t, alpha, x)
+    return gap == math.inf or gap > 1e-12 * (2.0 + u + abs(b) / a)
 
 
 def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
@@ -427,12 +426,11 @@ def _gap_window(profile: BusyPowerProfile, t: TrafficParams,
     gap's sign; the window is empty when either end is not certified.
     """
     load = t.offered_load_bps
-    terms = _gap_terms(profile, t, alpha)
-    r_hat = _locate_root(*terms, load)
+    r_hat = _locate_root(*_gap_terms(profile, t, alpha), load)
     if r_hat is not None and load < r_hat:
         x_lo, x_hi = r_hat * (1.0 - _WINDOW_RTOL), r_hat * (1.0 + _WINDOW_RTOL)
-        if (x_lo > load and _certified_sign(profile, t, alpha, terms, x_lo, 1.0)
-                and _certified_sign(profile, t, alpha, terms, x_hi, -1.0)):
+        if (x_lo > load and _certified_sign(profile, t, alpha, x_lo, 1.0)
+                and _certified_sign(profile, t, alpha, x_hi, -1.0)):
             return x_lo, x_hi
     return load, math.inf
 
@@ -445,7 +443,8 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
     root of the stationarity gap is bracketed by doubling and refined by
     bisection to 1e-12 relative width. Bisection is deliberate: the gap
     is monotone, so convergence is unconditional. Raises
-    NoEnergyOptimumError when no finite-delay minimum exists.
+    NoEnergyOptimumError when no finite-delay minimum exists, and
+    LinkCapacityError when the gap is positive up to the largest float.
 
     A sign test only evaluates the gap inside a window certified around
     the root (_gap_window); outside it the sign is known, so a solve
@@ -463,9 +462,8 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
     # The gap is evaluated only in (x_lo, x_hi), positive below and negative
     # above. It is +inf at the load; walk the lower end in until it is positive.
     # Each lower end is at least the float above the load, to which
-    # load * (1 + eps) rounds back for a subnormal load. So lo > load, and the
-    # bracket ends only at a finite hi: the gap raises at or below the load
-    # and at an infinite rate.
+    # load * (1 + eps) rounds back for a subnormal load. So lo > load: the gap
+    # raises at or below the load.
     eps = 1e-6
     while True:
         lo = max(load * (1.0 + eps), math.nextafter(load, math.inf))
@@ -479,12 +477,11 @@ def solve_optimal_rate(sc: Scenario, n_cores: int, profile=None) -> float:
             )
 
     hi = lo * 2.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        if hi > x_lo and (x_hi <= hi < math.inf or optimality_gap(profile, t, alpha, hi) < 0.0):
-            break
+    while hi < math.inf and (hi <= x_lo or not (
+            x_hi <= hi or optimality_gap(profile, t, alpha, hi) < 0.0)):
         hi *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the stationary rate")
+    if hi == math.inf:  # the gap is positive up to the largest float
+        raise LinkCapacityError.at(max_exponent=MAX_RATE_EXPONENT)
 
     for _ in range(_MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
@@ -512,8 +509,9 @@ def _rate_for_cores(sc: Scenario, n_cores: int, profile=None) -> _CountSolve:
     such a rate; the gap goes negative as u grows without bound, so the
     bracket closes. The bisection's midpoint is then at least
     hi / (1 + 0.5e-12) > x / (1 + 0.5e-12) > r_cap, which the full solve
-    reports as clamped at r_cap. A count that is not certified is solved
-    in full.
+    reports as clamped at r_cap, or refuses as over the link cap where an
+    overflowing Lambert argument keeps the gap +inf (_gap_terms) at every
+    rate. A count that is not certified is solved in full.
     """
     try:
         r_cap = max_supportable_rate(sc.compute, n_cores)
@@ -526,7 +524,6 @@ def _rate_for_cores(sc: Scenario, n_cores: int, profile=None) -> _CountSolve:
         ))
     profile = scenario_profile(sc, n_cores) if profile is None else profile
     if sc.alpha > 0.0 and _certified_sign(profile, t, sc.alpha,
-                                          _gap_terms(profile, t, sc.alpha),
                                           r_cap * (1.0 + _CLAMP_RTOL), 1.0):
         return _CountSolve("clamped", r_cap)
     try:
@@ -571,8 +568,9 @@ def _choose(sc: Scenario, n_cores: int | None, n_cores_max: int,
     if n_cores is not None:
         pairs = [(_rate_for_cores(sc, n_cores, profile(n_cores)).fixed_rate(), n_cores)]
     else:
-        if n_cores_max < 1:
-            raise ValueError("n_cores_max must be at least 1")
+        if not (1 <= n_cores_max < math.inf and n_cores_max == int(n_cores_max)):
+            raise ValueError("n_cores_max must be at least 1 and an integer")
+        n_cores_max = int(n_cores_max)
         s = sc.compute.cpu_speed
         need = (sc.compute.c0 + sc.compute.kappa * sc.traffic.offered_load_bps) / s
         pairs = []

@@ -78,7 +78,7 @@ class ComputeParams:
 def check_cores(n_cores):
     """n_cores, one count or a numpy array of them, if each is a positive integer."""
     if is_number(n_cores):  # pure Python: a numpy check costs more than a profile
-        ok = n_cores >= 1 and n_cores == int(n_cores)
+        ok = 1 <= n_cores < math.inf and n_cores == int(n_cores)
     else:
         ok = np.all(np.isfinite(n_cores) & (n_cores >= 1) & (np.floor(n_cores) == n_cores))
     if not ok:
@@ -137,12 +137,14 @@ def delta_pb(c: ComputeParams) -> float:
 def cpu_load(c: ComputeParams, rate_bps, check: bool = True):
     """Average utilization per core at the given data rate.
 
-    The value is (c0 + kappa * r) / (N_c * s). With check=True a load
-    above 1 raises InfeasibleLoadError; with check=False the raw value
-    is returned so callers can probe infeasible rates.
+    The value is (c0 + kappa * r) / (N_c * s). With check=True a rate
+    above _max_rate, where the load is 1, raises InfeasibleLoadError, as
+    in the busy-power kernel; with check=False the raw value is returned
+    so callers can probe infeasible rates.
     """
-    load = (c.c0 + c.kappa * np.asarray(rate_bps, dtype=float)) / (c.n_cores * c.cpu_speed)
-    if check and np.any(load > 1.0 + _LOAD_SLACK):
+    r = np.asarray(rate_bps, dtype=float)
+    load = (c.c0 + c.kappa * r) / (c.n_cores * c.cpu_speed)
+    if check and np.any(r > _max_rate(c, c.n_cores)):
         raise InfeasibleLoadError(
             f"rate needs load {np.max(load):.6g} > 1 on {c.n_cores} core(s)"
         )
@@ -168,6 +170,11 @@ def rrh_power(rp: RadioParams, p_out_w):
         raise ValueError("transmit power must be nonnegative")
     p = p_out / rp.pa_efficiency + rp.p_rf_w
     return float(p) if np.ndim(p) == 0 else p
+
+
+def _max_rate(c: ComputeParams, n_cores):
+    """The rate above which n_cores cores refuse: load 1, with _LOAD_SLACK."""
+    return ((1.0 + _LOAD_SLACK) * n_cores * c.cpu_speed - c.c0) / c.kappa
 
 
 def _bbu_floor(c: ComputeParams, n_cores):
@@ -292,7 +299,7 @@ def vbs_profile(c: ComputeParams, rp: RadioParams, gain: float, n_cores=None) ->
         bandwidth_hz=rp.bandwidth_hz,
         sleep_power_w=rp.p_sleep_w,
         switch_energy_j=rp.switch_energy_j,
-        max_rate_bps=((1.0 + _LOAD_SLACK) * n * c.cpu_speed - c.c0) / c.kappa,
+        max_rate_bps=_max_rate(c, n),
     )
 
 

@@ -464,7 +464,8 @@ def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:
         put_ev(-1)
         # One flow, served at the full rate: its tag stays off the heap
         # unless the next arrival comes before it is done. A size is
-        # never negative, so t_done is never before now.
+        # never negative, so t_done is never before now; the clock is never
+        # past the next arrival, so no credit step below is negative.
         t_done = now + (tag - credit) / rate
         t_new = arr[i]
         if not t_new < t_done:
@@ -473,9 +474,8 @@ def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:
             put_ev(i - 1)
             put_t(now)
             continue
-        if t_new > now:
-            credit += (t_new - now) * rate
-            now = t_new
+        credit += (t_new - now) * rate
+        now = t_new
         push(heap, (tag, i - 1))
         push(heap, (credit + size[i], i))
         i += 1
@@ -485,9 +485,8 @@ def _run(cfg: SimConfig, p_busy: float, trace) -> SimStats:
             t_done = now + (heap[0][0] - credit) * k / rate
             t_new = arr[i]
             if t_new < t_done:
-                if t_new > now:
-                    credit += (t_new - now) * rate / k
-                    now = t_new
+                credit += (t_new - now) * rate / k
+                now = t_new
                 push(heap, (credit + size[i], i))
                 i += 1
                 k += 1

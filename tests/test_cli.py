@@ -525,6 +525,33 @@ def test_settings_outside_the_float_range_exit_2(capsys, tmp_path, section, key,
     assert "Traceback" not in err
 
 
+# Finite channel gains whose gap terms overflow: alpha g eta / e at a 1 mm
+# cell, g eta P_s at 1e-79 m. Each count's root is then past the link
+# cap, so each is clamped and the 8-core capacity wins; 200 cores'
+# capacity is itself over the link cap.
+OVERFLOWING_GAP = [
+    ("1e-3", ["optimize", "--alpha", "1e300"], 0, 1),
+    ("1e-3", ["optimize", "--alpha", "1e308", "--cores", "200"], 3, 0),
+    ("1e-79", ["optimize", "--alpha", "1"], 0, 1),
+    ("1e-79", ["sweep", "alpha=1:3:3"], 0, 3),
+]
+
+
+@pytest.mark.parametrize("radius,argv,code,n_rows", OVERFLOWING_GAP,
+                         ids=[f"{r}-{' '.join(a)}" for r, a, _, _ in OVERFLOWING_GAP])
+def test_gap_terms_that_overflow_give_a_row_or_a_named_refusal(capsys, tmp_path, radius,
+                                                               argv, code, n_rows):
+    path = tmp_path / "station.ini"
+    path.write_text(f"[link]\ncell_radius = {radius} m\n")
+    got, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert got == code
+    rows = parse_rows(out)
+    assert [(r["rate_bps"], r["n_cores"], r["status"]) for r in rows] == [
+        ("437142857.143", "8", "ok")] * n_rows
+    assert err == ("error: rate/bandwidth ratio above 60.0; refusing to overflow\n"
+                   if code else "")
+
+
 def run_python(code):
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

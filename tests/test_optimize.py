@@ -25,7 +25,6 @@ from vbsenergy.lambertw import lambert_w0
 from vbsenergy.optimize import (
     _BISECT_RTOL,
     _MAX_BISECT_ITER,
-    _MAX_BRACKET_DOUBLINGS,
     Scenario,
     _optimal_rate,
     asymptotic_power,
@@ -45,6 +44,7 @@ from vbsenergy.optimize import (
 )
 from vbsenergy.power import ComputeParams, EarthParams, RadioParams, earth_profile
 from vbsenergy.queueing import TrafficParams, average_power, cost, queue_metrics
+from vbsenergy.radio import LinkBudget
 
 # Hand-checked reference numbers for the default scenario:
 #   r_M(1) = 37142857.14285714,  r_M(2) = 94285714.28571428
@@ -202,6 +202,19 @@ def test_joint_optimize_infeasible():
     joint_optimize(sc, 4)  # more cores make it feasible again
     with pytest.raises(ValueError, match="n_cores_max must be at least 1"):
         joint_optimize(Scenario(), 0)
+
+
+@pytest.mark.parametrize("n_cores_max", [2.5, math.inf, math.nan])
+def test_joint_optimize_refuses_a_count_limit_that_is_not_an_integer(n_cores_max):
+    with pytest.raises(ValueError, match="n_cores_max must be at least 1 and an integer"):
+        joint_optimize(Scenario(), n_cores_max)
+
+
+def test_an_integral_float_count_limit_walks_as_its_integer():
+    assert joint_optimize(Scenario(), 8.0) == joint_optimize(Scenario(), 8)
+    heavy = Scenario(traffic=TrafficParams(arrival_rate=3.0, file_size_bits=1.6e7))
+    with pytest.raises(InfeasibleScenarioError, match="up to 1 core"):
+        joint_optimize(heavy, 1.0)
 
 
 def test_joint_optimize_stops_at_the_first_refused_candidate():
@@ -531,7 +544,7 @@ def _reference_solve(sc: Scenario, n_cores: int) -> float:
         lo = load * (1.0 + eps)
 
     hi = lo * 2.0
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
+    for _ in range(2100):  # from the smallest subnormal to the largest float
         if gap(hi) < 0.0:
             break
         hi *= 2.0
@@ -587,29 +600,57 @@ def test_windowed_solve_equals_the_reference_bits(sc, n_cores):
     assert _outcome(solve_optimal_rate, sc, n_cores) == _outcome(_reference_solve, sc, n_cores)
 
 
-def test_most_returning_solves_run_in_a_certified_window(monkeypatch):
-    # An uncertified window falls back to a bisection with the same bits, so
-    # only the share of certified windows shows a locate or certificate that
-    # stopped working. 500 seeded draws give 461 returning solves, 246 of
-    # them (53.4 %) in a certified window.
-    gap_window, windows = optimize._gap_window, []
+def _seeded_solves(monkeypatch):
+    """(certified, gap evaluations) of each solve that returns, over 500
+    seeded draws of _PENALIZED_RANGES: whether its window was certified,
+    and how often it called optimality_gap."""
+    gap_window, windows, gaps = optimize._gap_window, [], []
 
     def recorded(*args):
         windows.append(gap_window(*args))
         return windows[-1]
 
+    def counted_gap(*args):
+        gaps.append(args[-1])
+        return optimality_gap(*args)
+
     monkeypatch.setattr(optimize, "_gap_window", recorded)
+    monkeypatch.setattr(optimize, "optimality_gap", counted_gap)
     rng = random.Random(0)
-    certified = []
+    solves = []
     for _ in range(500):
         sc = _penalized_scenario({k: rng.uniform(*r) for k, r in _PENALIZED_RANGES.items()})
+        before = len(gaps)
         try:
             solve_optimal_rate(sc, rng.randint(1, 64))
         except NoEnergyOptimumError:
             continue
-        certified.append(windows[-1][1] < math.inf)
+        solves.append((windows[-1][1] < math.inf, len(gaps) - before))
+    return solves
+
+
+def test_most_returning_solves_run_in_a_certified_window(monkeypatch):
+    # An uncertified window falls back to a bisection with the same bits, so
+    # only the share of certified windows shows a locate or certificate that
+    # stopped working. 500 seeded draws give 461 returning solves, 246 of
+    # them (53.4 %) in a certified window.
+    certified = [c for c, _ in _seeded_solves(monkeypatch)]
     assert len(certified) > 400
     assert sum(certified) >= 0.5 * len(certified)
+
+
+def test_a_certified_solve_evaluates_the_gap_at_most_seven_times(monkeypatch):
+    # Two evaluations certify the window's ends. Every other one is at a rate
+    # inside the window, whose width is 8e-12 of the root (_WINDOW_RTOL either
+    # side); outside it the sign is known. The first such rate becomes a
+    # bracket end. Each later one is a midpoint half a bracket width from that
+    # end, so the bracket is then under 16e-12 of the root wide, and still
+    # over the bisection's stop width of 1e-12: four halvings at most. So
+    # 2 + 1 + 4 = 7. The 246 certified solves of these draws make 6 or 7; a
+    # bisection that ignores the window makes about 45.
+    counts = [n for certified, n in _seeded_solves(monkeypatch) if certified]
+    assert len(counts) > 200
+    assert max(counts) <= 7
 
 
 # 4 loads is far from each of these roots, and load * (1 + 1e-13) leaves
@@ -720,9 +761,8 @@ def test_a_sign_is_certified_only_past_the_full_margin(monkeypatch, offset, sign
     x = solve_optimal_rate(sc, n_cores) * (1.0 - sign * offset)
     gap = sign * scale * _margin(sc, n_cores, x)
     monkeypatch.setattr(optimize, "optimality_gap", lambda p, t, alpha, r: gap)
-    terms = optimize._gap_terms(profile, sc.traffic, sc.alpha)
-    assert optimize._certified_sign(profile, sc.traffic, sc.alpha, terms, x, sign) is certified
-    assert not optimize._certified_sign(profile, sc.traffic, sc.alpha, terms, x, -sign)
+    assert optimize._certified_sign(profile, sc.traffic, sc.alpha, x, sign) is certified
+    assert not optimize._certified_sign(profile, sc.traffic, sc.alpha, x, -sign)
 
 
 @pytest.mark.parametrize("lo_scale, hi_scale", [(0.75, 0.75), (0.75, 1.25), (1.25, 0.75),
@@ -742,6 +782,22 @@ def test_the_window_certifies_only_ends_past_the_margin(monkeypatch, lo_scale, h
         assert window == (x_lo, x_hi)
     else:
         assert window == (sc.traffic.offered_load_bps, math.inf)
+
+
+# Finite gains that overflow the gap's terms on 8 cores: alpha g eta / e
+# at a 1 mm cell, g eta P_s at 1e-79 m. The Lambert argument is +inf at
+# every rate, so the root is past the link cap: the clamp probe certifies
+# the capacity, and a solve's bracket reaches inf and refuses.
+@pytest.mark.parametrize("radius, alpha", [(1e-3, 1e300), (1e-79, 1.0)])
+def test_an_overflowing_lambert_argument_clamps_the_count(radius, alpha):
+    sc = Scenario(link=LinkBudget(cell_radius_m=radius), alpha=alpha)
+    profile, r_cap = scenario_profile(sc, 8), max_supportable_rate(sc.compute, 8)
+    assert optimality_gap(profile, sc.traffic, alpha, r_cap) == math.inf
+    assert optimize._certified_sign(profile, sc.traffic, alpha, r_cap, 1.0)
+    assert not optimize._certified_sign(profile, sc.traffic, alpha, r_cap, -1.0)
+    assert optimize._rate_for_cores(sc, 8) == ("clamped", r_cap, None)
+    with pytest.raises(LinkCapacityError):
+        solve_optimal_rate(sc, 8)
 
 
 # Capacities one float either side of load * (1 + STABILITY_MARGIN): at

@@ -1,17 +1,19 @@
 """Station power models: BBU, radio head, and the macro baseline."""
 import math
 import pickle
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vbsenergy.errors import InfeasibleLoadError
+from vbsenergy.errors import REFUSALS, InfeasibleLoadError
 from vbsenergy.power import (
     ComputeParams,
     EarthParams,
     RadioParams,
     bbu_power,
+    check_cores,
     cpu_load,
     delta_pb,
     earth_busy_power,
@@ -226,3 +228,35 @@ def test_parameter_validation():
         with pytest.raises(ValueError):
             ComputeParams(**kwargs)
     ComputeParams(cpu_speed=1e-300)  # beta = 2 keeps cpu_speed**(beta-1) positive
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5, 0])
+def test_scalar_counts_that_are_not_positive_integers_are_refused(bad):
+    with pytest.raises(ValueError, match="n_cores must be a positive integer"):
+        check_cores(bad)
+    with pytest.raises(ValueError, match="n_cores must be a positive integer"):
+        ComputeParams(n_cores=bad)
+
+
+def test_cpu_load_refuses_exactly_the_rates_the_kernel_refuses():
+    # Each station is probed at its profile's max_rate_bps, one float below
+    # it and two above it; a bandwidth of 1 PHz keeps the link cap away.
+    # A load test of cpu_load's own (load > 1 + 1e-12) disagreed with the
+    # kernel on 924 of these 8,000 rates.
+    rng = random.Random(0)
+    radio = RadioParams(bandwidth_hz=1e15)
+    over_cap = REFUSALS.index(InfeasibleLoadError)
+    for _ in range(2000):
+        c = ComputeParams(n_cores=rng.randint(1, 64), cpu_speed=rng.uniform(1e8, 1e10),
+                          c0=rng.uniform(0.0, 1e8), kappa=rng.uniform(1.0, 100.0))
+        profile = vbs_profile(c, radio, GAIN)
+        r_max = profile.max_rate_bps
+        above = math.nextafter(r_max, math.inf)
+        for r in (math.nextafter(r_max, 0.0), r_max, above, math.nextafter(above, math.inf)):
+            try:
+                cpu_load(c, r)
+            except InfeasibleLoadError:
+                refused = True
+            else:
+                refused = False
+            assert refused == (profile.coded_busy_power(r)[0] == over_cap), (c, r)
